@@ -61,13 +61,12 @@ struct Implementation {
 /// Stimulates the system netlist for `cycles` and recovers per-net activity
 /// through the full VCD round trip (post-PAR simulation -> VCD -> parse),
 /// mirroring the paper's XPower flow. Thin wrapper over app::system_activity
-/// so benches, campaigns and examples share one stimulus definition; the
-/// engine choice does not change the result (sim/engine.hpp parity contract).
-inline sim::ActivityMap system_activity_via_vcd(
-    const netlist::Netlist& nl, double clock_hz, int cycles = 256,
-    sim::EngineKind engine = sim::EngineKind::Cycle) {
+/// on the library's default engine, so benches, campaigns and examples share
+/// one stimulus definition; the result is the same ActivityMap the counter
+/// path gives.
+inline sim::ActivityMap system_activity_via_vcd(const netlist::Netlist& nl,
+                                                double clock_hz, int cycles = 256) {
     app::ActivityOptions opts;
-    opts.engine = engine;
     opts.cycles = cycles;
     opts.via_vcd = true;
     return app::system_activity(nl, clock_hz, opts);

@@ -10,11 +10,22 @@
 // Every row is parity-gated before it is reported: identical per-net toggle
 // counts, identical final state and probe value, and byte-identical VCD
 // dumps between the engines (the dual-engine contract of sim/engine.hpp).
+//
+// A second table times the §4.3 activity stage itself: app::system_activity
+// on the Table-2 system netlist for {cycle, event} x {counters, via VCD},
+// repetitions interleaved so host drift hits every variant alike, median
+// thread processor time reported. All four must return the bit-identical
+// ActivityMap.
+//
 // Emits BENCH_sim_activity.json next to the binary; --json mirrors it to
 // stdout. Exit status is non-zero on any parity violation (both modes) or,
 // in full mode, when the headline-config speedup falls below the 10x target
-// (smoke workloads are too small to time reliably on loaded CI machines).
+// or the event engine's VCD round trip takes more than 1.5x its counter
+// path (smoke workloads are too small to time reliably on loaded CI
+// machines).
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -23,6 +34,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "refpga/app/activity.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/common/table.hpp"
 #include "refpga/sim/event_sim.hpp"
@@ -45,6 +58,17 @@ double now_ms() {
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
 }
+
+/// Processor time of the calling thread: the activity stage is
+/// single-threaded, and unlike wall time this does not count the time a
+/// shared host spends running someone else.
+double thread_cpu_ms() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+constexpr double kTable2ClockHz = 50e6;
 
 struct Config {
     int channels;
@@ -146,6 +170,62 @@ Result run_config(const Config& config, int vcd_cycles) {
     return r;
 }
 
+/// One variant of the Table-2 activity stage.
+struct StageRow {
+    sim::EngineKind engine;
+    bool via_vcd;
+    std::vector<double> ms;
+
+    [[nodiscard]] double median() const {
+        std::vector<double> sorted = ms;
+        std::sort(sorted.begin(), sorted.end());
+        return sorted[sorted.size() / 2];
+    }
+};
+
+struct StageResult {
+    std::size_t nets = 0;
+    int cycles = 0;
+    int reps = 0;
+    std::vector<StageRow> rows;  ///< {cycle, event} x {counters, via VCD}, in order
+    bool maps_identical = true;
+
+    /// The ROADMAP gate: the event engine's VCD round trip over its counters.
+    [[nodiscard]] double vcd_over_counters() const {
+        return rows[3].median() / rows[2].median();
+    }
+};
+
+StageResult run_table2_stage(int cycles, int reps) {
+    StageResult r;
+    const app::SystemNetlist sys = app::build_system_netlist();
+    r.nets = sys.nl.net_count();
+    r.cycles = cycles;
+    r.reps = reps;
+    for (const sim::EngineKind engine : {sim::EngineKind::Cycle, sim::EngineKind::Event})
+        for (const bool via_vcd : {false, true}) r.rows.push_back({engine, via_vcd, {}});
+
+    std::vector<double> reference;
+    for (int rep = -1; rep < reps; ++rep) {  // rep -1 warms up, untimed
+        for (StageRow& row : r.rows) {
+            app::ActivityOptions opts;
+            opts.engine = row.engine;
+            opts.via_vcd = row.via_vcd;
+            opts.cycles = cycles;
+            const double t0 = thread_cpu_ms();
+            const sim::ActivityMap map = app::system_activity(sys.nl, kTable2ClockHz, opts);
+            const double ms = thread_cpu_ms() - t0;
+            if (rep >= 0) row.ms.push_back(ms);
+            std::vector<double> rates(map.size());
+            for (std::uint32_t i = 0; i < map.size(); ++i)
+                rates[i] = map.rate_hz(netlist::NetId{i});
+            if (reference.empty()) reference = rates;
+            r.maps_identical = r.maps_identical && rates == reference;
+        }
+    }
+    return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,6 +270,21 @@ int main(int argc, char** argv) {
     std::cout << "engines bit-identical (toggles, state, VCD bytes): "
               << (parity_ok ? "yes" : "NO") << "\n";
 
+    const StageResult stage = run_table2_stage(smoke ? 64 : 256, smoke ? 1 : 15);
+    Table stage_table({"engine", "path", "median CPU (ms)"});
+    for (const StageRow& row : stage.rows)
+        stage_table.add_row({sim::engine_kind_name(row.engine),
+                             row.via_vcd ? "via VCD" : "counters",
+                             Table::num(row.median(), 1)});
+    std::cout << "\nTable-2 activity stage: system_activity on " << stage.nets
+              << " nets, " << stage.cycles << " cycles, median of " << stage.reps
+              << "\n"
+              << stage_table.render();
+    std::cout << "event engine, via VCD / counters: "
+              << Table::num(stage.vcd_over_counters(), 2) << "x\n";
+    std::cout << "ActivityMap bit-identical across engines and paths: "
+              << (stage.maps_identical ? "yes" : "NO") << "\n";
+
     std::ostringstream js;
     js << "{\n"
        << "  \"bench\": \"sim_activity\",\n"
@@ -208,7 +303,19 @@ int main(int argc, char** argv) {
     }
     js << "],\n"
        << "  \"headline_speedup\": " << headline.speedup() << ",\n"
-       << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << "\n"
+       << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << ",\n"
+       << "  \"table2_activity\": {\"nets\": " << stage.nets
+       << ", \"cycles\": " << stage.cycles << ", \"reps\": " << stage.reps
+       << ", \"rows\": [";
+    for (std::size_t i = 0; i < stage.rows.size(); ++i) {
+        const StageRow& row = stage.rows[i];
+        js << (i > 0 ? ", " : "") << "{\"engine\": \"" << sim::engine_kind_name(row.engine)
+           << "\", \"path\": \"" << (row.via_vcd ? "vcd" : "counters")
+           << "\", \"median_cpu_ms\": " << row.median() << "}";
+    }
+    js << "], \"event_vcd_over_counters\": " << stage.vcd_over_counters()
+       << ", \"maps_identical\": " << (stage.maps_identical ? "true" : "false")
+       << "}\n"
        << "}\n";
     std::ofstream("BENCH_sim_activity.json") << js.str();
     if (echo_json) std::cout << js.str();
@@ -218,10 +325,21 @@ int main(int argc, char** argv) {
                      "be used for activity extraction\n";
         return 1;
     }
+    if (!stage.maps_identical) {
+        std::cerr << "FAIL: system_activity gives different ActivityMaps across "
+                     "engines or between the counter and VCD paths\n";
+        return 1;
+    }
     // Timing gate only in full mode; the parity gate above runs in both.
     if (!smoke && headline.speedup() < 10.0) {
         std::cerr << "FAIL: headline event-engine speedup "
                   << headline.speedup() << "x is below the 10x target\n";
+        return 1;
+    }
+    if (!smoke && stage.vcd_over_counters() > 1.5) {
+        std::cerr << "FAIL: the event engine's VCD round trip takes "
+                  << stage.vcd_over_counters()
+                  << "x its counter path, above the 1.5x target\n";
         return 1;
     }
     return 0;

@@ -3,7 +3,7 @@
 // re-route on low-capacitance wires, and show the before/after.
 //
 //   ./build/examples/power_optimization
-//   ./build/examples/power_optimization --engine event   # event-driven
+//   ./build/examples/power_optimization --engine cycle   # reference-engine
 //       activity extraction (bit-identical output; see sim/engine.hpp)
 #include <iostream>
 #include <string>
@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
     using namespace refpga;
 
-    sim::EngineKind engine = sim::EngineKind::Cycle;
+    sim::EngineKind engine = sim::EngineKind::Event;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--engine" && i + 1 < argc) {

@@ -3,7 +3,7 @@
 // a hundred lines.
 //
 //   cmake --build build && ./build/examples/quickstart
-//   ./build/examples/quickstart --engine event   # event-driven simulation
+//   ./build/examples/quickstart --engine cycle   # full-sweep reference engine
 //       (identical output — the engines are parity-gated, sim/engine.hpp)
 #include <iostream>
 #include <string>
@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
     using namespace refpga;
 
-    sim::EngineKind engine = sim::EngineKind::Cycle;
+    sim::EngineKind engine = sim::EngineKind::Event;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--engine" && i + 1 < argc) {

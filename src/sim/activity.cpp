@@ -32,13 +32,12 @@ ActivityMap activity_from_simulation(const SimEngine& sim, double clock_hz) {
 ActivityMap activity_from_vcd(const netlist::Netlist& nl, const VcdActivity& vcd) {
     ActivityMap map(nl.net_count());
     if (vcd.duration_ps <= 0) return map;
+    const double seconds = vcd.duration_s();
     for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
         const auto& net = nl.net(netlist::NetId{i});
         const auto it = vcd.toggles.find(net.name);
         if (it != vcd.toggles.end())
-            map.set_rate(netlist::NetId{i},
-                         static_cast<double>(it->second) /
-                             (static_cast<double>(vcd.duration_ps) * 1e-12));
+            map.set_rate(netlist::NetId{i}, static_cast<double>(it->second) / seconds);
     }
     return map;
 }

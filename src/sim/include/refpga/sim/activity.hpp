@@ -41,7 +41,11 @@ private:
 [[nodiscard]] ActivityMap activity_from_simulation(const SimEngine& sim, double clock_hz);
 
 /// Builds activity from a parsed VCD, matching signals to nets by name.
-/// Nets without a VCD record get rate 0.
+/// Nets without a VCD record get rate 0. A dump sampled from the engine's
+/// reset state once per cycle of a whole-picosecond period gives exactly
+/// activity_from_simulation's rates, as long as no net changes twice between
+/// two samples (a flip and flip back leaves no trace in a dump): the same
+/// toggle counts over the same seconds (VcdActivity::duration_s()).
 [[nodiscard]] ActivityMap activity_from_vcd(const netlist::Netlist& nl,
                                             const VcdActivity& vcd);
 

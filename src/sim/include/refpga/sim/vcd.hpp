@@ -7,11 +7,17 @@
 //
 // Both directions stream in constant memory: the writer holds only the last
 // emitted value per watched signal and appends to the ostream as samples
-// arrive; the parser is a single pass over the token stream whose state is
-// one last-value record per declared variable — neither ever buffers the
-// dump, so arbitrarily long simulations can round-trip through a pipe.
+// arrive; the parser reads the stream in fixed-size chunks and keeps one
+// last-value record and one toggle tally per declared bit — neither ever
+// buffers the dump, so arbitrarily long simulations can round-trip through a
+// pipe.
+//
+// The VCD is the paper-fidelity export of an activity run, not the way
+// activity reaches the power model: app::system_activity reads the engine's
+// toggle counters by default and gives the bit-identical ActivityMap.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -42,19 +48,34 @@ public:
               std::vector<VcdVectorVar> vectors = {});
 
     /// Emits value changes for watched variables at absolute time `time_ps`.
-    /// Times must be strictly increasing.
+    /// Times must be strictly increasing. After the first sample, only nets
+    /// whose toggle count moved by an odd number since the previous sample
+    /// are visited: each toggle flips the value, so the others still hold
+    /// the value last dumped.
     void sample(std::int64_t time_ps);
 
 private:
     [[nodiscard]] static std::string code_for(std::size_t index);
 
+    /// A variable's identifier code followed by '\n', copied as one block.
+    struct CodeLine {
+        std::array<char, 7> text;
+        std::uint8_t size;  ///< code length + 1
+    };
+
     std::ostream& os_;
     const SimEngine& sim_;
-    std::vector<netlist::NetId> nets_;
+    std::size_t scalars_;                 ///< the first watched_ entries
     std::vector<VcdVectorVar> vectors_;
-    std::vector<std::string> codes_;      ///< scalars, then vectors
-    std::vector<std::int8_t> last_;       ///< -1 = not yet dumped
-    std::vector<std::vector<std::int8_t>> vec_last_;
+    std::vector<netlist::NetId> watched_;  ///< scalars, then vector bits
+    std::vector<std::size_t> vec_first_;   ///< a vector's first watched_ index
+    std::vector<CodeLine> codes_;          ///< scalars, then vectors
+    std::vector<std::int8_t> last_;        ///< per watched bit; -1 = not dumped
+    /// Per watched bit, packed 64 to a word: its toggle-count parity at the
+    /// last sample.
+    std::vector<std::uint64_t> parity_;
+    std::vector<std::uint8_t> vec_dirty_;  ///< a bit changed this sample
+    std::vector<char> changes_;            ///< one sample's value-change lines
     std::int64_t last_time_ = -1;
 };
 
@@ -62,6 +83,12 @@ private:
 struct VcdActivity {
     std::int64_t duration_ps = 0;
     std::map<std::string, std::int64_t> toggles;  ///< signal name -> transitions
+
+    /// The dump's span in seconds, computed like activity_from_simulation's
+    /// cycles / clock_hz: one division, so equal spans give equal doubles.
+    [[nodiscard]] double duration_s() const {
+        return static_cast<double>(duration_ps) / 1e12;
+    }
 
     /// Transitions per second for one signal (0 if unknown).
     [[nodiscard]] double toggle_rate_hz(const std::string& signal) const;

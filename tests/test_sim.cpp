@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <streambuf>
 
+#include "refpga/app/activity.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 
 #include "refpga/netlist/builder.hpp"
@@ -391,6 +395,187 @@ TEST(VcdRobustness, UnknownStateResetsToggleTracking) {
     const VcdActivity activity = parse_string(
         std::string(kVcdHeader) + "#0\n1!\n#5\nx!\n#10\n1!\n#15\n0!\n");
     EXPECT_EQ(activity.toggles.at("q0"), 1);
+}
+
+TEST(VcdRobustness, NonCanonicalIdentifiersResolve) {
+    // Codes that are not short base-94 numbers ("!!" has a trailing zero
+    // digit, "abcd" is four symbols) take the hash-map path; a redeclared
+    // code keeps its earlier toggles under the earlier name.
+    const VcdActivity a = parse_string(
+        "$var wire 1 !! p $end\n$var wire 1 abcd q $end\n"
+        "$var wire 1 ~~~ r $end\n$var wire 1 ! s $end\n"
+        "$enddefinitions $end\n"
+        "#0\n0!!\n1abcd\n0~~~\n0!\n#5\n1!!\n0abcd\n1~~~\n1!\n"
+        "$var wire 1 ! t $end\n#10\n0!!\n0!\n#15\n1!\n");
+    EXPECT_EQ(a.toggles.at("p"), 2);
+    EXPECT_EQ(a.toggles.at("q"), 1);
+    EXPECT_EQ(a.toggles.at("r"), 1);
+    EXPECT_EQ(a.toggles.at("s"), 1);
+    EXPECT_EQ(a.toggles.at("t"), 1);
+}
+
+// ------------------------------------------------- chunked parsing
+
+namespace {
+
+/// Hands out its text 1..7 bytes per underflow, so a parser's reads are
+/// assembled from many short pieces.
+class TrickleBuf : public std::streambuf {
+public:
+    explicit TrickleBuf(std::string text) : text_(std::move(text)) {}
+
+protected:
+    int_type underflow() override {
+        if (pos_ >= text_.size()) return traits_type::eof();
+        const std::size_t n =
+            std::min<std::size_t>(1 + rng_.next_below(7), text_.size() - pos_);
+        char* p = text_.data() + pos_;
+        setg(p, p, p + n);
+        pos_ += n;
+        return traits_type::to_int_type(*p);
+    }
+
+private:
+    std::string text_;
+    std::size_t pos_ = 0;
+    Rng rng_{17};
+};
+
+/// A multi-MB dump from a real writer: every net of a counter-and-logic
+/// design as a scalar, an 8-bit vector, and a 70 000-bit vector (its nets
+/// repeated), whose value tokens are longer than any read chunk.
+std::string long_dump() {
+    Design d = make_design();
+    Builder b(d.nl, d.clk);
+    const Bus in = d.nl.add_input_port("in", 8);
+    const Bus q = b.counter(8, NetId{}, "q");
+    const Bus mix = b.xor_bus(q, in);
+    d.nl.add_output_port("mix", b.reg(mix));
+    std::vector<NetId> all;
+    for (std::uint32_t i = 0; i < d.nl.net_count(); ++i) all.push_back(NetId{i});
+    Bus wide;
+    while (wide.size() < 70000) wide.insert(wide.end(), all.begin(), all.end());
+    wide.resize(70000);
+
+    EventSimulator sim(d.nl);
+    std::ostringstream os;
+    VcdWriter writer(os, sim, all, {{"q8", q}, {"wide", wide}});
+    writer.sample(0);
+    Rng rng(23);
+    for (int t = 1; t <= 48; ++t) {
+        sim.set_input("in", rng.next_below(256));
+        sim.tick();
+        writer.sample(t * 777);
+    }
+    return os.str();
+}
+
+}  // namespace
+
+TEST(VcdChunking, TrickleStreamParsesIdentically) {
+    const std::string text = long_dump();
+    ASSERT_GT(text.size(), 2u << 20);
+    const VcdActivity whole = parse_string(text);
+    TrickleBuf trickle(text);
+    std::istream is(&trickle);
+    const VcdActivity trickled = parse_vcd(is);
+    EXPECT_EQ(trickled.duration_ps, whole.duration_ps);
+    EXPECT_EQ(trickled.toggles, whole.toggles);
+
+    // Doubling every separator moves each chunk boundary to a new place in
+    // the token stream; the result must not move with it.
+    std::string spaced;
+    for (const char c : text) {
+        spaced += c;
+        if (c == '\n') spaced += ' ';
+    }
+    const VcdActivity shifted = parse_string(spaced);
+    EXPECT_EQ(shifted.toggles, whole.toggles);
+    EXPECT_GT(whole.toggles.at("wide[69999]"), 0);
+}
+
+// ------------------------------------------------- writer: settles between samples
+
+namespace {
+
+/// n buffers input a; m = a XOR q, where q registers a. Driving a flips n
+/// and m in the set_input settle; the next edge updates q, which flips m
+/// back. Watched as n, q, m: codes '!', '"', '#'.
+template <typename Engine>
+std::string settle_dump(std::vector<std::int64_t>* toggles = nullptr) {
+    Design d = make_design();
+    Builder b(d.nl, d.clk);
+    const NetId a = d.nl.add_input_port("a", 1)[0];
+    const NetId n = b.lut(0b10, {a}, "n");
+    const NetId q = b.ff(a, NetId{}, "q");
+    const NetId m = b.xor_(a, q);
+    d.nl.add_output_port("o", Bus{n, m});
+    Engine sim(d.nl);
+
+    std::ostringstream os;
+    VcdWriter writer(os, sim, {n, q, m});
+    writer.sample(0);
+    sim.set_input("a", 1);
+    sim.tick();
+    // The edge changed q and m, not n: n changed in the set_input settle.
+    const auto& changed = sim.changed_nets();
+    EXPECT_EQ(std::find(changed.begin(), changed.end(), n), changed.end());
+    writer.sample(1000);
+    if (toggles != nullptr)
+        *toggles = {sim.toggle_counts()[n.value()], sim.toggle_counts()[q.value()],
+                    sim.toggle_counts()[m.value()]};
+    const std::string text = os.str();
+    return text.substr(text.find("#1000"));
+}
+
+template <typename Engine>
+void check_settles_between_samples() {
+    std::vector<std::int64_t> toggles;
+    const std::string tail = settle_dump<Engine>(&toggles);
+    // n only moved in set_input: emitted. m flipped there and back on the
+    // edge (two toggles, same value): not emitted.
+    EXPECT_EQ(toggles, (std::vector<std::int64_t>{1, 1, 2}));
+    EXPECT_EQ(tail, "#1000\n1!\n1\"\n");
+}
+
+}  // namespace
+
+TEST(VcdWriter, SettlesBetweenSamplesCycleEngine) {
+    check_settles_between_samples<Simulator>();
+}
+
+TEST(VcdWriter, SettlesBetweenSamplesEventEngine) {
+    check_settles_between_samples<EventSimulator>();
+}
+
+// ------------------------------------------------- §4.3 activity: both paths
+
+TEST(SystemActivity, CountersAndVcdGiveTheSameMapOnBothEngines) {
+    // The Table-2 system netlist, 256 cycles at 50 MHz: the VCD round trip
+    // and the engine's toggle counters must agree bit for bit, per net, on
+    // either engine.
+    const app::SystemNetlist sys = app::build_system_netlist();
+    const double clock_hz = 50e6;
+    const ActivityMap reference = app::system_activity(sys.nl, clock_hz);
+    for (const EngineKind engine : {EngineKind::Cycle, EngineKind::Event}) {
+        for (const bool via_vcd : {false, true}) {
+            app::ActivityOptions opts;
+            opts.engine = engine;
+            opts.via_vcd = via_vcd;
+            const ActivityMap map = app::system_activity(sys.nl, clock_hz, opts);
+            ASSERT_EQ(map.size(), reference.size());
+            for (std::uint32_t i = 0; i < sys.nl.net_count(); ++i)
+                ASSERT_EQ(map.rate_hz(NetId{i}), reference.rate_hz(NetId{i}))
+                    << "net '" << sys.nl.net(NetId{i}).name << "' on the "
+                    << engine_kind_name(engine) << " engine, via_vcd " << via_vcd;
+        }
+    }
+    // Both inputs rise once, when first driven: one toggle in 256 cycles.
+    for (const char* port : {"adc_valid", "tick_16mhz"}) {
+        const NetId net = sys.nl.find_port(port)->nets.at(0);
+        EXPECT_EQ(sys.nl.net(net).name, std::string(port) + "_0");
+        EXPECT_EQ(reference.rate_hz(net), 195312.5) << port;
+    }
 }
 
 // ------------------------------------------------- randomized properties

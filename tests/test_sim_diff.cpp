@@ -188,6 +188,99 @@ TEST(EngineParity, MakeEngineDispatchesBothKinds) {
     EXPECT_FALSE(parse_engine_kind("warp").has_value());
 }
 
+// ---------------------------------------------------- VCD writer oracle
+
+/// The full-scan writer VcdWriter replaced, kept as its oracle: every sample
+/// reads every watched bit back from the engine and dumps the ones that
+/// differ from the last dump. Same header, codes and line format.
+class FullScanVcd {
+public:
+    FullScanVcd(std::ostream& os, const SimEngine& sim, std::vector<NetId> nets,
+                std::vector<VcdVectorVar> vectors)
+        : os_(os), sim_(sim), nets_(std::move(nets)), vectors_(std::move(vectors)),
+          last_(nets_.size(), -1), vec_last_(vectors_.size()) {
+        os_ << "$timescale 1ps $end\n$scope module top $end\n";
+        for (std::size_t i = 0; i < nets_.size(); ++i)
+            os_ << "$var wire 1 " << code(i) << ' ' << sim_.netlist().net(nets_[i]).name
+                << " $end\n";
+        for (std::size_t j = 0; j < vectors_.size(); ++j) {
+            vec_last_[j].assign(vectors_[j].bits.size(), -1);
+            os_ << "$var wire " << vectors_[j].bits.size() << ' ' << code(nets_.size() + j)
+                << ' ' << vectors_[j].name << " $end\n";
+        }
+        os_ << "$upscope $end\n$enddefinitions $end\n";
+    }
+
+    void sample(std::int64_t time_ps) {
+        std::ostringstream changes;
+        for (std::size_t i = 0; i < nets_.size(); ++i) {
+            const int v = sim_.net_value(nets_[i]) ? 1 : 0;
+            if (v == last_[i]) continue;
+            changes << v << code(i) << '\n';
+            last_[i] = v;
+        }
+        for (std::size_t j = 0; j < vectors_.size(); ++j) {
+            bool dirty = false;
+            for (std::size_t b = 0; b < vectors_[j].bits.size(); ++b) {
+                const int v = sim_.net_value(vectors_[j].bits[b]) ? 1 : 0;
+                dirty = dirty || v != vec_last_[j][b];
+                vec_last_[j][b] = v;
+            }
+            if (!dirty) continue;
+            changes << 'b';
+            for (std::size_t b = vectors_[j].bits.size(); b-- > 0;) changes << vec_last_[j][b];
+            changes << ' ' << code(nets_.size() + j) << '\n';
+        }
+        if (!changes.str().empty()) os_ << '#' << time_ps << '\n' << changes.str();
+    }
+
+private:
+    static std::string code(std::size_t index) {
+        std::string c;
+        do {
+            c += static_cast<char>('!' + index % 94);
+            index /= 94;
+        } while (index != 0);
+        return c;
+    }
+
+    std::ostream& os_;
+    const SimEngine& sim_;
+    std::vector<NetId> nets_;
+    std::vector<VcdVectorVar> vectors_;
+    std::vector<int> last_;
+    std::vector<std::vector<int>> vec_last_;
+};
+
+TEST(VcdWriterOracle, MatchesFullScanAcrossRandomNetlists) {
+    // Between samples: zero to two input changes and zero to two edges, so
+    // nets change in set_input settles only, flip and flip back, or sit idle.
+    for (std::uint64_t seed = 1; seed <= 34; ++seed) {
+        const netlist::Netlist nl = random_netlist(seed);
+        const std::vector<VcdVectorVar> vectors = {{"stim", nl.find_port("stim")->nets},
+                                                   {"probe", nl.find_port("probe")->nets}};
+        const auto mask = (std::uint64_t{1} << nl.find_port("stim")->nets.size()) - 1;
+        for (const EngineKind kind : {EngineKind::Cycle, EngineKind::Event}) {
+            const auto sim = make_engine(kind, nl);
+            std::ostringstream fast_os, ref_os;
+            VcdWriter fast(fast_os, *sim, all_nets(nl), vectors);
+            FullScanVcd ref(ref_os, *sim, all_nets(nl), vectors);
+            Rng stim(seed * 31);
+            std::int64_t time = 0;
+            for (int t = 0; t < 64; ++t) {
+                for (auto k = stim.next_below(3); k-- > 0;)
+                    sim->set_input("stim", stim.next_u64() & mask);
+                for (auto k = stim.next_below(3); k-- > 0;) sim->tick();
+                fast.sample(time);
+                ref.sample(time);
+                time += 1 + stim.next_below(100);
+            }
+            ASSERT_EQ(fast_os.str(), ref_os.str())
+                << "seed " << seed << ", " << engine_kind_name(kind) << " engine";
+        }
+    }
+}
+
 // -------------------------------------------------- golden activity (§4.3)
 
 /// The Table-2 reference scenario (XC3S200 power fixture): an 8-bit counter
