@@ -20,8 +20,9 @@ public:
     [[nodiscard]] const netlist::Netlist& nl() const { return *nl_; }
     [[nodiscard]] const PackedDesign& design() const { return *design_; }
 
-    /// Restricts a partition's slices to `region`. Must be set before
-    /// place_initial(). Unconstrained partitions use the full device.
+    /// Restricts a partition's slices to `region`, which must be non-empty
+    /// and on the device. Must be set before place_initial(). Unconstrained
+    /// partitions use the full device.
     void constrain(netlist::PartitionId partition, const fabric::Region& region);
     [[nodiscard]] fabric::Region region_of(netlist::PartitionId partition) const;
 

@@ -28,6 +28,7 @@ Placement::Placement(const Device& dev, const netlist::Netlist& nl,
 void Placement::constrain(PartitionId partition, const Region& region) {
     REFPGA_EXPECTS(!placed_);
     REFPGA_EXPECTS(partition.value() < regions_.size());
+    REFPGA_EXPECTS(region.x_begin < region.x_end && region.y_begin < region.y_end);
     REFPGA_EXPECTS(region.x_begin >= 0 && region.x_end <= dev_->cols());
     REFPGA_EXPECTS(region.y_begin >= 0 && region.y_end <= dev_->rows());
     regions_[partition.value()] = region;

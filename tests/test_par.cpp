@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <tuple>
+#include <vector>
 
+#include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/builder.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
 #include "refpga/par/placer.hpp"
@@ -12,9 +18,16 @@
 #include "refpga/par/router.hpp"
 #include "refpga/par/timing.hpp"
 #include "refpga/sim/activity.hpp"
+#include "refpga/sim/random_netlist.hpp"
 #include "refpga/sim/simulator.hpp"
 
 namespace refpga::par {
+
+void PrintTo(const PlacerResult& r, std::ostream* os) {
+    *os << "{initial " << r.initial_cost << ", final " << r.final_cost << ", tried "
+        << r.moves_tried << ", accepted " << r.moves_accepted << "}";
+}
+
 namespace {
 
 using fabric::Device;
@@ -149,6 +162,20 @@ TEST(Placement, SwapSitesMovesBoth) {
     EXPECT_FALSE(placement.slice_at(a).valid());
 }
 
+TEST(Placement, RejectsEmptyOrInvertedRegion) {
+    Placed p;
+    Placement placement(p.dev, p.d.nl, p.packed);
+    EXPECT_THROW(placement.constrain(PartitionId{0}, Region{3, 3, 0, 4}),
+                 ContractViolation);
+    EXPECT_THROW(placement.constrain(PartitionId{0}, Region{0, 4, 2, 2}),
+                 ContractViolation);
+    EXPECT_THROW(placement.constrain(PartitionId{0}, Region{5, 2, 0, 4}),
+                 ContractViolation);
+    EXPECT_THROW(placement.constrain(PartitionId{0}, Region{0, 4, 6, 1}),
+                 ContractViolation);
+    placement.constrain(PartitionId{0}, Region{0, 1, 0, 1});
+}
+
 TEST(Placement, ClockNetsAreDedicated) {
     Placed p;
     Placement placement(p.dev, p.d.nl, p.packed);
@@ -202,6 +229,285 @@ TEST(Placer, DeterministicForSeed) {
     (void)anneal(b, options);
     for (std::uint32_t i = 0; i < p1.packed.slice_count(); ++i)
         EXPECT_EQ(a.slice_pos(SliceId{i}), b.slice_pos(SliceId{i}));
+}
+
+TEST(Placer, RejectsInvalidOptions) {
+    Placed p;
+    Placement placement(p.dev, p.d.nl, p.packed);
+    placement.place_initial();
+    auto rejects = [&](auto mutate) {
+        PlacerOptions options;
+        mutate(options);
+        EXPECT_THROW((void)anneal(placement, options), ContractViolation);
+    };
+    rejects([](PlacerOptions& o) { o.cooling = 1.0; });
+    rejects([](PlacerOptions& o) { o.cooling = 0.0; });
+    rejects([](PlacerOptions& o) { o.cooling = 1.5; });
+    rejects([](PlacerOptions& o) { o.effort = 0.0; });
+    rejects([](PlacerOptions& o) { o.initial_temperature = 0.0; });
+    rejects([](PlacerOptions& o) { o.final_temperature = 0.0; });
+    rejects([](PlacerOptions& o) { o.final_temperature = -1.0; });
+    rejects([](PlacerOptions& o) { o.activity_beta = -0.5; });
+    rejects([](PlacerOptions& o) { o.activity_beta = std::nan(""); });
+}
+
+// The original annealer, kept here as the oracle for par::anneal: every move
+// swaps the two sites, rescans every net on both slices with net_hpwl, and
+// swaps back when the move is rejected. `running_cost` receives its running
+// cost (initial cost plus accepted deltas).
+PlacerResult oracle_anneal(Placement& placement, const PlacerOptions& options,
+                           const sim::ActivityMap* activity, double& running_cost) {
+    const auto& nl = placement.nl();
+    const auto& design = placement.design();
+    Rng rng(options.seed);
+    std::vector<double> weight(nl.net_count(), 1.0);
+    if (activity != nullptr && options.activity_beta > 0.0) {
+        double max_rate = 0.0;
+        for (std::uint32_t i = 0; i < nl.net_count(); ++i)
+            max_rate = std::max(max_rate, activity->rate_hz(NetId{i}));
+        if (max_rate > 0.0)
+            for (std::uint32_t i = 0; i < nl.net_count(); ++i)
+                weight[i] = 1.0 + options.activity_beta *
+                                      activity->rate_hz(NetId{i}) / max_rate;
+    }
+    std::vector<std::vector<NetId>> slice_nets(design.slice_count());
+    for (std::uint32_t ni = 0; ni < nl.net_count(); ++ni) {
+        if (placement.dedicated_net(NetId{ni})) continue;
+        auto touch = [&](netlist::CellId cell) {
+            const SliceId s = design.slice_of(cell);
+            if (!s.valid()) return;
+            auto& list = slice_nets[s.value()];
+            if (list.empty() || list.back() != NetId{ni}) list.push_back(NetId{ni});
+        };
+        touch(nl.net(NetId{ni}).driver.cell);
+        for (const auto& sink : nl.net(NetId{ni}).sinks) touch(sink.cell);
+    }
+    auto net_cost = [&](NetId n) { return weight[n.value()] * placement.net_hpwl(n); };
+    auto full_cost = [&] {
+        double c = 0.0;
+        for (std::uint32_t i = 0; i < nl.net_count(); ++i) c += net_cost(NetId{i});
+        return c;
+    };
+    auto slices_cost = [&](std::uint32_t si, SliceId other) {
+        double c = 0.0;
+        for (const NetId n : slice_nets[si]) c += net_cost(n);
+        if (other.valid())
+            for (const NetId n : slice_nets[other.value()]) c += net_cost(n);
+        return c;
+    };
+
+    PlacerResult result;
+    running_cost = full_cost();
+    result.initial_cost = std::lround(running_cost);
+    if (design.slice_count() < 2) {
+        result.final_cost = result.initial_cost;
+        return result;
+    }
+    const long moves_per_temp = std::max<long>(
+        64, std::lround(options.effort * 8.0 * static_cast<double>(design.slice_count())));
+    for (double temp = options.initial_temperature; temp > options.final_temperature;
+         temp *= options.cooling) {
+        for (long m = 0; m < moves_per_temp; ++m) {
+            ++result.moves_tried;
+            const std::uint32_t si =
+                rng.next_below(static_cast<std::uint32_t>(design.slice_count()));
+            const Region region = placement.region_of(design.slices()[si].partition);
+            SliceCoord target;
+            target.x = region.x_begin + static_cast<int>(rng.next_below(
+                                            static_cast<std::uint32_t>(region.width())));
+            target.y = region.y_begin + static_cast<int>(rng.next_below(
+                                            static_cast<std::uint32_t>(region.height())));
+            target.index = static_cast<int>(rng.next_below(Device::kSlicesPerClb));
+            const SliceCoord source = placement.slice_pos(SliceId{si});
+            if (source == target) continue;
+            const SliceId other = placement.slice_at(target);
+            if (other.valid() &&
+                !placement.region_of(design.slices()[other.value()].partition)
+                     .contains(source.x, source.y))
+                continue;
+            const double before = slices_cost(si, other);
+            placement.swap_sites(source, target);
+            const double delta = slices_cost(si, other) - before;
+            if (delta <= 0.0 || rng.next_double() < std::exp(-delta / temp)) {
+                running_cost += delta;
+                ++result.moves_accepted;
+            } else {
+                placement.swap_sites(source, target);
+            }
+        }
+    }
+    result.final_cost = std::lround(full_cost());
+    return result;
+}
+
+/// FNV-1a over every slice's (x, y, index), in slice order.
+std::uint64_t placement_hash(const Placement& placement) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&](int v) {
+        for (int b = 0; b < 4; ++b) {
+            hash ^= (static_cast<std::uint32_t>(v) >> (8 * b)) & 0xffU;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (std::uint32_t i = 0; i < placement.design().slice_count(); ++i) {
+        const SliceCoord pos = placement.slice_pos(SliceId{i});
+        mix(pos.x);
+        mix(pos.y);
+        mix(pos.index);
+    }
+    return hash;
+}
+
+/// Checks the annealer's final caches against a full recompute.
+void expect_state_matches(const Placement& placement, const AnnealState& state,
+                          bool unit_weights) {
+    const std::uint32_t nets = static_cast<std::uint32_t>(placement.nl().net_count());
+    ASSERT_EQ(state.cached_hpwl.size(), nets);
+    for (std::uint32_t i = 0; i < nets; ++i)
+        EXPECT_EQ(state.cached_hpwl[i], placement.net_hpwl(NetId{i})) << "net " << i;
+    if (unit_weights) {
+        EXPECT_EQ(state.running_cost, static_cast<double>(placement.total_hpwl()));
+    }
+}
+
+/// Runs par::anneal and the oracle on two copies of one initial placement
+/// and requires the same result, running cost and slice positions.
+void expect_matches_oracle(const Netlist& nl, const Device& dev,
+                           const std::vector<std::pair<PartitionId, Region>>& regions,
+                           const PlacerOptions& options,
+                           const sim::ActivityMap* activity, const std::string& label) {
+    SCOPED_TRACE(label);
+    const PackedDesign packed = pack(nl);
+    Placement fast(dev, nl, packed);
+    Placement slow(dev, nl, packed);
+    for (const auto& [part, region] : regions) {
+        fast.constrain(part, region);
+        slow.constrain(part, region);
+    }
+    fast.place_initial();
+    slow.place_initial();
+    AnnealState state;
+    const PlacerResult got = anneal(fast, options, activity, &state);
+    double oracle_cost = 0.0;
+    const PlacerResult want = oracle_anneal(slow, options, activity, oracle_cost);
+    EXPECT_EQ(got, want);
+    EXPECT_GT(got.moves_accepted, 0);
+    EXPECT_EQ(state.running_cost, oracle_cost);
+    for (std::uint32_t i = 0; i < packed.slice_count(); ++i)
+        ASSERT_EQ(fast.slice_pos(SliceId{i}), slow.slice_pos(SliceId{i})) << "slice " << i;
+    expect_state_matches(fast, state, activity == nullptr || options.activity_beta == 0.0);
+}
+
+sim::ActivityMap simulated_activity(const Netlist& nl, int cycles) {
+    sim::Simulator simulator(nl);
+    simulator.run(cycles);
+    return sim::activity_from_simulation(simulator, 50e6);
+}
+
+TEST(Placer, MatchesOracleOnRandomNetlists) {
+    const Device dev(PartName::XC3S200);
+    for (std::uint64_t design = 1; design <= 30; ++design) {
+        sim::RandomNetlistOptions opts;
+        opts.luts = 30 + 10 * static_cast<int>(design % 6);
+        opts.ffs = 8 + static_cast<int>(design % 9);
+        const Netlist nl = sim::random_netlist(design, opts);
+        const sim::ActivityMap activity = simulated_activity(nl, 256);
+        // Every third design is packed into a small region, so pins share
+        // box edges often and edge counts are exercised hard.
+        std::vector<std::pair<PartitionId, Region>> regions;
+        if (design % 3 == 0) regions.push_back({PartitionId{0}, Region{2, 8, 3, 9}});
+        for (const std::uint64_t seed : {design, design + 100})
+            for (const double beta : {0.0, 0.5}) {
+                PlacerOptions options;
+                options.seed = seed;
+                options.effort = 0.5;
+                options.activity_beta = beta;
+                expect_matches_oracle(nl, dev, regions, options, &activity,
+                                      "design " + std::to_string(design) + " seed " +
+                                          std::to_string(seed) + " beta " +
+                                          std::to_string(beta));
+            }
+    }
+}
+
+TEST(Placer, MatchesOracleOnConstrainedPartitions) {
+    Design d;
+    Builder b(d.nl, d.clk);
+    const Bus q = b.counter(10);
+    const Bus x = d.nl.add_input_port("x", 8);
+    d.nl.add_output_port("p", b.mul_mult18(x, Bus(q.begin(), q.begin() + 8), 16, 0));
+    const PartitionId mod = d.nl.add_partition("mod");
+    d.nl.set_current_partition(mod);
+    Bus y = b.counter(8);
+    for (int i = 0; i < 3; ++i) y = b.not_bus(y);
+    d.nl.add_output_port("o", b.not_bus(Bus(q.begin(), q.begin() + 8)));
+    d.nl.add_output_port("y", y);
+    const sim::ActivityMap activity = simulated_activity(d.nl, 512);
+    const Device dev(PartName::XC3S200);
+    // Overlapping regions: a swap into the overlap may meet the other
+    // partition's slices, which the region check must refuse.
+    const std::vector<std::pair<PartitionId, Region>> regions = {
+        {PartitionId{0}, Region{0, 6, 0, 6}}, {mod, Region{4, 10, 2, 8}}};
+    for (const std::uint64_t seed : {3u, 4u})
+        for (const double beta : {0.0, 0.5}) {
+            PlacerOptions options;
+            options.seed = seed;
+            options.effort = 1.0;
+            options.activity_beta = beta;
+            expect_matches_oracle(d.nl, dev, regions, options, &activity,
+                                  "seed " + std::to_string(seed) + " beta " +
+                                      std::to_string(beta));
+        }
+}
+
+// The Table-2 system netlist on the XC3S1000 at the §4.3 flow's effort,
+// placer seed 4: pins the annealer's whole trajectory.
+TEST(Placer, Table2TrajectoryPinned) {
+    const app::SystemNetlist sys = app::build_system_netlist({});
+    const PackedDesign packed = pack(sys.nl);
+    const Device dev(PartName::XC3S1000);
+    Placement placement(dev, sys.nl, packed);
+    placement.place_initial();
+    PlacerOptions options;
+    options.seed = 4;
+    options.effort = 0.15;
+    AnnealState state;
+    const PlacerResult result = anneal(placement, options, nullptr, &state);
+    EXPECT_EQ(result.initial_cost, 96282);
+    EXPECT_EQ(result.final_cost, 79677);
+    EXPECT_EQ(result.moves_tried, 309308);
+    EXPECT_EQ(result.moves_accepted, 2339);
+    EXPECT_EQ(placement_hash(placement), 0xdcb89e9255ad3d5cULL);
+    expect_state_matches(placement, state, true);
+}
+
+TEST(Placer, RecorderLeavesPlacementUnchanged) {
+    Placed p1(16);
+    Placed p2(16);
+    Placement plain(p1.dev, p1.d.nl, p1.packed);
+    Placement traced(p2.dev, p2.d.nl, p2.packed);
+    plain.place_initial();
+    traced.place_initial();
+    PlacerOptions options;
+    options.seed = 11;
+    options.effort = 0.5;
+    const PlacerResult want = anneal(plain, options);
+    obs::Recorder recorder;
+    options.recorder = &recorder;
+    const PlacerResult got = anneal(traced, options);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(placement_hash(traced), placement_hash(plain));
+
+    const obs::MetricRegistry& m = recorder.metrics();
+    EXPECT_EQ(m.value("anneal.moves_tried_total"), static_cast<double>(got.moves_tried));
+    EXPECT_EQ(m.value("anneal.moves_accepted_total"),
+              static_cast<double>(got.moves_accepted));
+    // ceil(ln(0.05 / 4) / ln(0.92)) steps from 4.0 down past 0.05.
+    EXPECT_EQ(m.value("anneal.temperature_steps_total"), 53.0);
+    EXPECT_GT(m.value("anneal.bbox_rescans_total"), 0.0);
+    EXPECT_EQ(m.value("anneal.final_cost"), static_cast<double>(got.final_cost));
+    EXPECT_EQ(m.snapshot(m.find("anneal.wall_seconds")).count, 1);
+    EXPECT_EQ(recorder.trace().pushed(), 1u);
 }
 
 // ---------------------------------------------------------------- router
