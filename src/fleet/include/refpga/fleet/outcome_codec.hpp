@@ -4,16 +4,19 @@
 // the coordinator and journals them into checkpoint files as JSON lines.
 // Reports derive summary percentiles from the raw metric values, so the
 // codec must round-trip doubles exactly — every floating-point field is
-// encoded as a C99 hexfloat string ("%a", e.g. "0x1.91eb851eb851fp-1"),
-// which strtod parses back to the identical bits. Everything a campaign
-// report reads off an outcome is carried; enum fields travel as their
-// numeric values (the decoder validates range).
+// encoded as a C99 hexfloat string (json::hexfloat, e.g.
+// "0x1.91eb851eb851fp-1"), which reads back to the identical bits.
+// Everything a campaign report reads off an outcome is carried; enum fields
+// travel as their numeric values (the decoder validates range).
 //
-// Format: one strictly-ordered single-line JSON object per outcome. The
-// decoder is a fixed-sequence scanner, not a general JSON parser: encoder
-// and decoder are versioned together (kOutcomeCodecVersion, recorded in
-// checkpoint headers), and a line that deviates from the expected shape
-// throws CodecError instead of guessing.
+// Format: one single-line JSON object per outcome, its 36 members in a fixed
+// order. One field list drives both directions: the encoder writes it, and
+// the decoder parses the line with json::parse and requires exactly those
+// keys in exactly that order. Encoder and decoder are versioned together
+// (kOutcomeCodecVersion, recorded in checkpoint headers), and a line that
+// deviates from the expected shape — including every proper prefix of a
+// valid line, which is how checkpoint load recognizes a torn tail — throws
+// CodecError instead of guessing.
 #pragma once
 
 #include <stdexcept>

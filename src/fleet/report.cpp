@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
+#include "refpga/common/json.hpp"
 #include "refpga/common/table.hpp"
 #include "report_render.hpp"
 
@@ -67,41 +67,13 @@ double outcome_metric(const ScenarioOutcome& o, std::string_view key) {
 
 namespace render {
 
-std::string fmt(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
-
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 std::string axis_value(const ScenarioOutcome& o, std::string_view axis) {
     const Scenario& s = o.scenario;
     if (axis == "variant") return app::variant_name(s.variant);
     if (axis == "part") return std::string(fabric::part(s.part).id);
     if (axis == "port") return port_kind_name(s.port);
-    if (axis == "noise") return fmt(s.noise_rms_v);
-    if (axis == "upset_rate") return fmt(s.fault.upset_rate_per_column_s);
+    if (axis == "noise") return json::fmt(s.noise_rms_v);
+    if (axis == "upset_rate") return json::fmt(s.fault.upset_rate_per_column_s);
     REFPGA_EXPECTS(false && "unknown sweep axis");
     return {};
 }
@@ -115,7 +87,7 @@ std::vector<std::string> scenario_row_cells(const ScenarioOutcome& o) {
     if (!o.ok)
         return {o.scenario.name, "FAILED", "-", "-", "-", "-", "-", "-", "-"};
     return {o.scenario.name, o.device_fits ? "ok" : "ok (no fit)",
-            fmt(o.level_error_mean), Table::num(o.cycle_busy_ms, 3),
+            json::fmt(o.level_error_mean), Table::num(o.cycle_busy_ms, 3),
             Table::num(o.reconfig_ms_per_cycle, 3), Table::num(o.static_mw, 1),
             Table::num(o.dynamic_mw, 2), Table::num(o.availability, 3),
             o.fitted_part.empty() ? "none" : o.fitted_part};
@@ -123,17 +95,17 @@ std::vector<std::string> scenario_row_cells(const ScenarioOutcome& o) {
 
 void append_scenario_json(std::ostringstream& os, const ScenarioOutcome& o) {
     const Scenario& s = o.scenario;
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"variant\":\""
+    os << "{\"name\":\"" << json::escape(s.name) << "\",\"variant\":\""
        << app::variant_name(s.variant) << "\",\"part\":\""
        << fabric::part(s.part).id << "\",\"port\":\"" << port_kind_name(s.port)
-       << "\",\"noise_rms_v\":" << fmt(s.noise_rms_v)
-       << ",\"upset_rate_per_column_s\":" << fmt(s.fault.upset_rate_per_column_s)
-       << ",\"fill\":["
-       << fmt(s.fill.start_level) << "," << fmt(s.fill.end_level)
+       << "\",\"noise_rms_v\":" << json::fmt(s.noise_rms_v)
+       << ",\"upset_rate_per_column_s\":"
+       << json::fmt(s.fault.upset_rate_per_column_s) << ",\"fill\":["
+       << json::fmt(s.fill.start_level) << "," << json::fmt(s.fill.end_level)
        << "],\"cycles\":" << s.cycles << ",\"seed\":" << s.seed
        << ",\"ok\":" << (o.ok ? "true" : "false");
     if (!o.ok) {
-        os << ",\"error\":\"" << json_escape(o.error) << "\"}";
+        os << ",\"error\":\"" << json::escape(o.error) << "\"}";
         return;
     }
     os << ",\"metrics\":{";
@@ -141,17 +113,17 @@ void append_scenario_json(std::ostringstream& os, const ScenarioOutcome& o) {
     for (const std::string& key : report_metric_keys()) {
         if (!first) os << ",";
         first = false;
-        os << "\"" << key << "\":" << fmt(outcome_metric(o, key));
+        os << "\"" << key << "\":" << json::fmt(outcome_metric(o, key));
     }
     os << "},\"resident_slices\":" << o.resident_slices << ",\"fitted_part\":\""
-       << json_escape(o.fitted_part)
+       << json::escape(o.fitted_part)
        << "\",\"device_fits\":" << (o.device_fits ? "true" : "false") << "}";
 }
 
 void append_summary_json(std::ostringstream& os, const MetricSummary& s) {
-    os << "{\"min\":" << fmt(s.min) << ",\"mean\":" << fmt(s.mean)
-       << ",\"max\":" << fmt(s.max) << ",\"p50\":" << fmt(s.p50)
-       << ",\"p95\":" << fmt(s.p95) << ",\"count\":" << s.count << "}";
+    os << "{\"min\":" << json::fmt(s.min) << ",\"mean\":" << json::fmt(s.mean)
+       << ",\"max\":" << json::fmt(s.max) << ",\"p50\":" << json::fmt(s.p50)
+       << ",\"p95\":" << json::fmt(s.p95) << ",\"count\":" << s.count << "}";
 }
 
 void append_text_head(std::ostringstream& os, std::size_t count,
@@ -178,8 +150,9 @@ void append_text_tail(std::ostringstream& os, const SummaryFn& summary,
     Table summary_table({"metric", "min", "mean", "p50", "p95", "max"});
     for (const std::string& key : report_metric_keys()) {
         const MetricSummary s = summary(key);
-        summary_table.add_row({key, fmt(s.min), fmt(s.mean), fmt(s.p50), fmt(s.p95),
-                               fmt(s.max)});
+        summary_table.add_row({key, json::fmt(s.min), json::fmt(s.mean),
+                               json::fmt(s.p50), json::fmt(s.p95),
+                               json::fmt(s.max)});
     }
     os << "summary over successful scenarios:\n" << summary_table.render() << "\n";
 
@@ -190,8 +163,8 @@ void append_text_tail(std::ostringstream& os, const SummaryFn& summary,
         const MetricSummary mw = group_summary(g, "total_mw");
         by_axis.add_row({groups[g].axis, groups[g].value,
                          std::to_string(groups[g].scenario_count),
-                         std::to_string(groups[g].failures), fmt(err.mean),
-                         fmt(mw.mean)});
+                         std::to_string(groups[g].failures), json::fmt(err.mean),
+                         json::fmt(mw.mean)});
     }
     os << "grouped by sweep axis:\n" << by_axis.render();
 }
@@ -232,7 +205,7 @@ void append_json_tail(std::ostringstream& os, const SummaryFn& summary,
         const GroupFacts& group = groups[g];
         if (g) os << ",";
         os << "{\"axis\":\"" << group.axis << "\",\"value\":\""
-           << json_escape(group.value) << "\",\"scenarios\":" << group.scenario_count
+           << json::escape(group.value) << "\",\"scenarios\":" << group.scenario_count
            << ",\"failures\":" << group.failures << ",\"metrics\":{";
         bool first_metric = true;
         for (const std::string& key : report_metric_keys()) {

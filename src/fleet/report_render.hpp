@@ -25,9 +25,6 @@ namespace refpga::fleet::render {
 inline constexpr std::string_view kAxes[] = {"variant", "part", "port", "noise",
                                              "upset_rate"};
 
-/// One deterministic float-to-text path for every number in both renderings.
-[[nodiscard]] std::string fmt(double v);
-[[nodiscard]] std::string json_escape(std::string_view text);
 /// Grouping value of one outcome on one axis ("variant", "part", "port",
 /// "noise" or "upset_rate").
 [[nodiscard]] std::string axis_value(const ScenarioOutcome& o,

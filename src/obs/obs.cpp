@@ -1,43 +1,14 @@
 #include "refpga/obs/obs.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
+#include "refpga/common/json.hpp"
 
 namespace refpga::obs {
 
 namespace {
-
-// Shortest round-trippable formatting, matching fleet::report's convention.
-std::string fmt(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 // Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted names
 // map '.' (and anything else) to '_'.
@@ -186,9 +157,9 @@ std::string MetricRegistry::render_text() const {
     for (const Snapshot& s : snapshot_all()) {
         os << metric_kind_name(s.kind) << ' ' << s.name << ' ';
         if (s.kind == MetricKind::Histogram) {
-            os << "count=" << s.count << " sum=" << fmt(s.value);
+            os << "count=" << s.count << " sum=" << json::fmt(s.value);
         } else {
-            os << fmt(s.value);
+            os << json::fmt(s.value);
         }
         os << '\n';
     }
@@ -202,19 +173,19 @@ std::string MetricRegistry::render_json() const {
     for (const Snapshot& s : snapshot_all()) {
         if (!first) os << ',';
         first = false;
-        os << "{\"name\":\"" << json_escape(s.name) << "\",\"kind\":\""
+        os << "{\"name\":\"" << json::escape(s.name) << "\",\"kind\":\""
            << metric_kind_name(s.kind) << "\"";
         if (s.kind == MetricKind::Histogram) {
-            os << ",\"sum\":" << fmt(s.value) << ",\"count\":" << s.count
+            os << ",\"sum\":" << json::fmt(s.value) << ",\"count\":" << s.count
                << ",\"bounds\":[";
             for (std::size_t i = 0; i < s.bounds.size(); ++i)
-                os << (i != 0 ? "," : "") << fmt(s.bounds[i]);
+                os << (i != 0 ? "," : "") << json::fmt(s.bounds[i]);
             os << "],\"buckets\":[";
             for (std::size_t i = 0; i < s.buckets.size(); ++i)
                 os << (i != 0 ? "," : "") << s.buckets[i];
             os << ']';
         } else {
-            os << ",\"value\":" << fmt(s.value);
+            os << ",\"value\":" << json::fmt(s.value);
         }
         os << '}';
     }
@@ -231,15 +202,15 @@ std::string MetricRegistry::render_prometheus() const {
             std::int64_t cumulative = 0;
             for (std::size_t i = 0; i < s.bounds.size(); ++i) {
                 cumulative += s.buckets[i];
-                os << name << "_bucket{le=\"" << fmt(s.bounds[i]) << "\"} "
+                os << name << "_bucket{le=\"" << json::fmt(s.bounds[i]) << "\"} "
                    << cumulative << '\n';
             }
             cumulative += s.buckets.empty() ? 0 : s.buckets.back();
             os << name << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
-            os << name << "_sum " << fmt(s.value) << '\n';
+            os << name << "_sum " << json::fmt(s.value) << '\n';
             os << name << "_count " << s.count << '\n';
         } else {
-            os << name << ' ' << fmt(s.value) << '\n';
+            os << name << ' ' << json::fmt(s.value) << '\n';
         }
     }
     return os.str();
@@ -340,7 +311,7 @@ std::string TraceRing::render_json() const {
     for (const TraceEvent& ev : snapshot()) {
         if (!first) os << ',';
         first = false;
-        os << "{\"name\":\"" << json_escape(name(ev.name))
+        os << "{\"name\":\"" << json::escape(name(ev.name))
            << "\",\"thread\":" << ev.thread << ",\"seq\":" << ev.seq
            << ",\"start_ns\":" << ev.start_ns
            << ",\"duration_ns\":" << ev.duration_ns << '}';

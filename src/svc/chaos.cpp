@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "refpga/common/json.hpp"
 #include "refpga/svc/wire.hpp"
 
 namespace refpga::svc {
@@ -50,12 +50,6 @@ std::string frame_bytes(std::uint8_t type, std::string_view payload) {
     buffer.push_back(static_cast<char>(type));
     buffer.append(payload);
     return buffer;
-}
-
-std::string fmt_prob(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
 }
 
 constexpr std::size_t kMaxTraceLines = 512;
@@ -218,14 +212,14 @@ bool apply_wire_action(const WireAction& action, int fd, std::uint8_t type,
 std::string encode_chaos(const ChaosSpec& spec, std::uint64_t seed) {
     if (!spec.any_worker()) return {};
     std::string out = "chaos " + std::to_string(seed);
-    out += ' ' + fmt_prob(spec.torn_frame_prob);
-    out += ' ' + fmt_prob(spec.corrupt_length_prob);
-    out += ' ' + fmt_prob(spec.corrupt_payload_prob);
-    out += ' ' + fmt_prob(spec.delay_frame_prob);
+    out += ' ' + json::hexfloat(spec.torn_frame_prob);
+    out += ' ' + json::hexfloat(spec.corrupt_length_prob);
+    out += ' ' + json::hexfloat(spec.corrupt_payload_prob);
+    out += ' ' + json::hexfloat(spec.delay_frame_prob);
     out += ' ' + std::to_string(spec.delay_ms);
-    out += ' ' + fmt_prob(spec.drop_frame_prob);
-    out += ' ' + fmt_prob(spec.hang_prob);
-    out += ' ' + fmt_prob(spec.slow_batch_prob);
+    out += ' ' + json::hexfloat(spec.drop_frame_prob);
+    out += ' ' + json::hexfloat(spec.hang_prob);
+    out += ' ' + json::hexfloat(spec.slow_batch_prob);
     out += ' ' + std::to_string(spec.slow_ms);
     out += ' ' + std::string(crash_phase_name(spec.crash_phase));
     out += ' ' + std::to_string(spec.crash_after);
@@ -258,12 +252,11 @@ double parse_prob(const std::string& token) {
 }
 
 std::uint64_t parse_u64_token(const std::string& token) {
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end == token.c_str() || *end != '\0')
-        throw std::runtime_error("bad chaos integer '" + token + "'");
-    return v;
+    try {
+        return json::parse_u64(token);
+    } catch (const json::Error& e) {
+        throw std::runtime_error("bad chaos integer: " + std::string(e.what()));
+    }
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
 #include "refpga/svc/job.hpp"
 
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <climits>
 
-#include "refpga/svc/json.hpp"
+#include "refpga/common/json.hpp"
 
 namespace refpga::svc {
 
@@ -35,63 +32,38 @@ fleet::PortKind parse_port(const std::string& name) {
 
 namespace {
 
-// Doubles travel as hexfloat strings ("0x1.999999999999ap-4") so the
-// canonical document survives any locale or printf quirk bit-exactly.
-std::string hex_double(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
+// Doubles are written as hexfloat strings ("0x1.999999999999ap-4") so the
+// canonical document survives any locale or printf quirk bit-exactly; plain
+// JSON numbers and decimal strings are read too.
+double double_value(const json::Value& v, const std::string& key) {
+    if (v.is(json::Value::Kind::Number)) return v.as_number();
+    if (!v.is(json::Value::Kind::String))
+        throw JobError(key + ": expected number or hexfloat string");
+    try {
+        return json::parse_hexfloat(v.text);
+    } catch (const json::Error& e) {
+        throw JobError(key + ": " + e.what());
+    }
 }
 
-double parse_hex_double(const JsonValue& v, const char* key) {
-    if (v.is(JsonValue::Kind::Number)) return v.number;  // plain JSON accepted
-    if (!v.is(JsonValue::Kind::String))
-        throw JobError(std::string(key) + ": expected number or hexfloat string");
-    const std::string& s = v.string;
-    const char* begin = s.c_str();
-    char* end = nullptr;
-    const double parsed = std::strtod(begin, &end);
-    if (end == begin || *end != '\0')
-        throw JobError(std::string(key) + ": malformed number '" + s + "'");
-    return parsed;
-}
-
-std::vector<double> double_list(const JsonValue& v, const char* key) {
+std::vector<double> double_list(const json::Value& v, const std::string& key) {
     std::vector<double> out;
-    for (const JsonValue& e : v.as_array()) out.push_back(parse_hex_double(e, key));
-    if (out.empty()) throw JobError(std::string(key) + ": empty list");
+    for (const json::Value& e : v.as_array()) out.push_back(double_value(e, key));
+    if (out.empty()) throw JobError(key + ": empty list");
     return out;
 }
 
-int int_value(const JsonValue& v, const char* key) {
-    const double d = v.as_number();
-    const int i = static_cast<int>(d);
-    if (static_cast<double>(i) != d)
-        throw JobError(std::string(key) + ": expected integer");
-    return i;
+int int_value(const json::Value& v) {
+    const std::int64_t i = v.as_i64();
+    if (i < INT_MIN || i > INT_MAX)
+        throw json::Error("number " + v.text + " is out of int range");
+    return static_cast<int>(i);
 }
 
-std::uint64_t u64_value(const JsonValue& v, const char* key) {
-    if (v.is(JsonValue::Kind::String)) {
-        // Seeds round-trip as decimal strings: 2^53 < seed values exist.
-        const std::string& s = v.string;
-        std::uint64_t out = 0;
-        if (s.empty()) throw JobError(std::string(key) + ": empty seed");
-        for (const char c : s) {
-            if (c < '0' || c > '9')
-                throw JobError(std::string(key) + ": malformed seed '" + s + "'");
-            const auto digit = static_cast<std::uint64_t>(c - '0');
-            if (out > (UINT64_MAX - digit) / 10)
-                throw JobError(std::string(key) + ": seed '" + s +
-                               "' overflows 64 bits");
-            out = out * 10 + digit;
-        }
-        return out;
-    }
-    const double d = v.as_number();
-    if (d < 0 || std::floor(d) != d)
-        throw JobError(std::string(key) + ": expected unsigned integer");
-    return static_cast<std::uint64_t>(d);
+// Seeds are written as decimal strings (2^53 < seed values exist); plain
+// JSON numbers are read exactly too.
+std::uint64_t u64_value(const json::Value& v) {
+    return v.is(json::Value::Kind::String) ? json::parse_u64(v.text) : v.as_u64();
 }
 
 void append_string_list(std::string& out, const char* key,
@@ -116,91 +88,101 @@ void append_double_list(std::string& out, const char* key,
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        out += hex_double(values[i]);
+        out += json::hexfloat(values[i]);
         out += '"';
     }
     out += ']';
 }
 
+/// Applies one top-level member. Kind mismatches and bad numbers surface as
+/// json::Error, which from_json reports under the member's key.
+void apply_member(JobSpec& spec, const std::string& key, const json::Value& value) {
+    if (key == "variants") {
+        spec.variants.clear();
+        for (const json::Value& e : value.as_array())
+            spec.variants.push_back(parse_variant(e.as_string()));
+        if (spec.variants.empty()) throw JobError("variants: empty list");
+    } else if (key == "parts") {
+        spec.parts.clear();
+        for (const json::Value& e : value.as_array())
+            spec.parts.push_back(parse_part(e.as_string()));
+        if (spec.parts.empty()) throw JobError("parts: empty list");
+    } else if (key == "ports") {
+        spec.ports.clear();
+        for (const json::Value& e : value.as_array())
+            spec.ports.push_back(parse_port(e.as_string()));
+        if (spec.ports.empty()) throw JobError("ports: empty list");
+    } else if (key == "noise_levels") {
+        spec.noise_levels = double_list(value, "noise_levels");
+    } else if (key == "upset_rates") {
+        spec.upset_rates = double_list(value, "upset_rates");
+        for (const double rate : spec.upset_rates)
+            if (rate < 0.0) throw JobError("upset_rates: negative rate");
+    } else if (key == "fault") {
+        if (!value.is(json::Value::Kind::Object))
+            throw JobError("fault: expected object");
+        for (const auto& [fkey, fvalue] : value.object) {
+            if (fkey == "load_corruption_prob")
+                spec.fault_defaults.load_corruption_prob =
+                    double_value(fvalue, "fault.load_corruption_prob");
+            else if (fkey == "flash_error_prob")
+                spec.fault_defaults.flash_error_prob =
+                    double_value(fvalue, "fault.flash_error_prob");
+            else if (fkey == "glitch_prob_per_cycle")
+                spec.fault_defaults.glitch_prob_per_cycle =
+                    double_value(fvalue, "fault.glitch_prob_per_cycle");
+            else
+                throw JobError("fault: unknown key '" + fkey + "'");
+        }
+    } else if (key == "fills") {
+        spec.fills.clear();
+        for (const json::Value& e : value.as_array()) {
+            if (!e.is(json::Value::Kind::Object))
+                throw JobError("fills: expected objects");
+            fleet::FillProfile fill;
+            for (const auto& [fkey, fvalue] : e.object) {
+                if (fkey == "start")
+                    fill.start_level = double_value(fvalue, "fills.start");
+                else if (fkey == "end")
+                    fill.end_level = double_value(fvalue, "fills.end");
+                else
+                    throw JobError("fills: unknown key '" + fkey + "'");
+            }
+            spec.fills.push_back(fill);
+        }
+        if (spec.fills.empty()) throw JobError("fills: empty list");
+    } else if (key == "cycles") {
+        spec.cycles = int_value(value);
+        if (spec.cycles <= 0) throw JobError("cycles: must be positive");
+    } else if (key == "campaign_seed") {
+        spec.campaign_seed = u64_value(value);
+    } else if (key == "stream_block_ticks") {
+        spec.stream_block_ticks = int_value(value);
+        if (spec.stream_block_ticks <= 0)
+            throw JobError("stream_block_ticks: must be positive");
+    } else {
+        throw JobError("job spec: unknown key '" + key + "'");
+    }
+}
+
 }  // namespace
 
 JobSpec JobSpec::from_json(const std::string& text) {
-    JsonValue doc;
+    json::Value doc;
     try {
-        doc = parse_json(text);
-    } catch (const JsonError& e) {
+        doc = json::parse(text);
+    } catch (const json::Error& e) {
         throw JobError(std::string("job spec: ") + e.what());
     }
-    if (!doc.is(JsonValue::Kind::Object))
+    if (!doc.is(json::Value::Kind::Object))
         throw JobError("job spec: document is not an object");
 
     JobSpec spec;
     for (const auto& [key, value] : doc.object) {
-        if (key == "variants") {
-            spec.variants.clear();
-            for (const JsonValue& e : value.as_array())
-                spec.variants.push_back(parse_variant(e.as_string()));
-            if (spec.variants.empty()) throw JobError("variants: empty list");
-        } else if (key == "parts") {
-            spec.parts.clear();
-            for (const JsonValue& e : value.as_array())
-                spec.parts.push_back(parse_part(e.as_string()));
-            if (spec.parts.empty()) throw JobError("parts: empty list");
-        } else if (key == "ports") {
-            spec.ports.clear();
-            for (const JsonValue& e : value.as_array())
-                spec.ports.push_back(parse_port(e.as_string()));
-            if (spec.ports.empty()) throw JobError("ports: empty list");
-        } else if (key == "noise_levels") {
-            spec.noise_levels = double_list(value, "noise_levels");
-        } else if (key == "upset_rates") {
-            spec.upset_rates = double_list(value, "upset_rates");
-            for (const double rate : spec.upset_rates)
-                if (rate < 0.0) throw JobError("upset_rates: negative rate");
-        } else if (key == "fault") {
-            if (!value.is(JsonValue::Kind::Object))
-                throw JobError("fault: expected object");
-            for (const auto& [fkey, fvalue] : value.object) {
-                if (fkey == "load_corruption_prob")
-                    spec.fault_defaults.load_corruption_prob =
-                        parse_hex_double(fvalue, "fault.load_corruption_prob");
-                else if (fkey == "flash_error_prob")
-                    spec.fault_defaults.flash_error_prob =
-                        parse_hex_double(fvalue, "fault.flash_error_prob");
-                else if (fkey == "glitch_prob_per_cycle")
-                    spec.fault_defaults.glitch_prob_per_cycle =
-                        parse_hex_double(fvalue, "fault.glitch_prob_per_cycle");
-                else
-                    throw JobError("fault: unknown key '" + fkey + "'");
-            }
-        } else if (key == "fills") {
-            spec.fills.clear();
-            for (const JsonValue& e : value.as_array()) {
-                if (!e.is(JsonValue::Kind::Object))
-                    throw JobError("fills: expected objects");
-                fleet::FillProfile fill;
-                for (const auto& [fkey, fvalue] : e.object) {
-                    if (fkey == "start")
-                        fill.start_level = parse_hex_double(fvalue, "fills.start");
-                    else if (fkey == "end")
-                        fill.end_level = parse_hex_double(fvalue, "fills.end");
-                    else
-                        throw JobError("fills: unknown key '" + fkey + "'");
-                }
-                spec.fills.push_back(fill);
-            }
-            if (spec.fills.empty()) throw JobError("fills: empty list");
-        } else if (key == "cycles") {
-            spec.cycles = int_value(value, "cycles");
-            if (spec.cycles <= 0) throw JobError("cycles: must be positive");
-        } else if (key == "campaign_seed") {
-            spec.campaign_seed = u64_value(value, "campaign_seed");
-        } else if (key == "stream_block_ticks") {
-            spec.stream_block_ticks = int_value(value, "stream_block_ticks");
-            if (spec.stream_block_ticks <= 0)
-                throw JobError("stream_block_ticks: must be positive");
-        } else {
-            throw JobError("job spec: unknown key '" + key + "'");
+        try {
+            apply_member(spec, key, value);
+        } catch (const json::Error& e) {
+            throw JobError(key + ": " + e.what());
         }
     }
     return spec;
@@ -229,16 +211,16 @@ std::string JobSpec::canonical_json() const {
     append_double_list(out, "upset_rates", upset_rates);
 
     out += ",\"fault\":{\"load_corruption_prob\":\"" +
-           hex_double(fault_defaults.load_corruption_prob) +
-           "\",\"flash_error_prob\":\"" + hex_double(fault_defaults.flash_error_prob) +
+           json::hexfloat(fault_defaults.load_corruption_prob) +
+           "\",\"flash_error_prob\":\"" + json::hexfloat(fault_defaults.flash_error_prob) +
            "\",\"glitch_prob_per_cycle\":\"" +
-           hex_double(fault_defaults.glitch_prob_per_cycle) + "\"}";
+           json::hexfloat(fault_defaults.glitch_prob_per_cycle) + "\"}";
 
     out += ",\"fills\":[";
     for (std::size_t i = 0; i < fills.size(); ++i) {
         if (i > 0) out += ',';
-        out += "{\"start\":\"" + hex_double(fills[i].start_level) + "\",\"end\":\"" +
-               hex_double(fills[i].end_level) + "\"}";
+        out += "{\"start\":\"" + json::hexfloat(fills[i].start_level) + "\",\"end\":\"" +
+               json::hexfloat(fills[i].end_level) + "\"}";
     }
     out += ']';
 

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "refpga/common/json.hpp"
+
 namespace refpga::svc {
 
 const char* msg_type_name(MsgType type) {
@@ -132,18 +134,11 @@ std::vector<std::uint64_t> parse_fields(std::string_view payload, std::size_t n)
         const std::string_view token =
             payload.substr(pos, end == std::string_view::npos ? end : end - pos);
         if (token.empty()) throw WireError("empty field in payload");
-        std::uint64_t value = 0;
-        for (const char c : token) {
-            if (c < '0' || c > '9')
-                throw WireError("non-numeric payload field '" +
-                                std::string(token) + "'");
-            const auto digit = static_cast<std::uint64_t>(c - '0');
-            if (value > (UINT64_MAX - digit) / 10)
-                throw WireError("payload field '" + std::string(token) +
-                                "' overflows 64 bits");
-            value = value * 10 + digit;
+        try {
+            fields.push_back(json::parse_u64(token));
+        } catch (const json::Error& e) {
+            throw WireError(std::string("payload field ") + e.what());
         }
-        fields.push_back(value);
         if (end == std::string_view::npos) break;
         pos = end + 1;
     }

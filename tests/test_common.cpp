@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/fixed.hpp"
 #include "refpga/common/interval_set.hpp"
+#include "refpga/common/json.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/common/strong_id.hpp"
 #include "refpga/common/table.hpp"
@@ -360,6 +363,81 @@ TEST(Rng, StreamsAreIsolatedFromEachOther) {
         EXPECT_EQ(a2.next_u64(), seq_a[static_cast<std::size_t>(i)]);
         EXPECT_EQ(b2.next_u64(), seq_b[static_cast<std::size_t>(i)]);
     }
+}
+
+
+// ---------------------------------------------------------------- json
+
+TEST(Json, ParsesDocumentsStrictly) {
+    const json::Value doc = json::parse(
+        " {\"s\": \"a\\nb\", \"n\": -2.5e2, \"l\": [1, true, null]} ");
+    EXPECT_EQ(doc.find("s")->as_string(), "a\nb");
+    EXPECT_EQ(doc.find("n")->as_number(), -250.0);
+    ASSERT_EQ(doc.find("l")->as_array().size(), 3u);
+    EXPECT_TRUE(doc.find("l")->as_array()[1].as_bool());
+    EXPECT_TRUE(doc.find("l")->as_array()[2].is(json::Value::Kind::Null));
+    EXPECT_EQ(doc.find("missing"), nullptr);
+
+    EXPECT_THROW((void)json::parse("{\"a\":1} trailing"), json::Error);
+    EXPECT_THROW((void)json::parse("{\"a\":1,\"a\":2}"), json::Error);
+    EXPECT_THROW((void)json::parse("{\"a\":}"), json::Error);
+    EXPECT_THROW((void)json::parse("\"unterminated"), json::Error);
+
+    EXPECT_NO_THROW(
+        (void)json::parse(R"({"a":[1,2.5,-3e4],"b":"x\"y","c":true,"d":null})"));
+    EXPECT_THROW((void)json::parse(R"({"a":1)"), json::Error);
+    EXPECT_THROW((void)json::parse("[1,]"), json::Error);
+    EXPECT_THROW((void)json::parse("{} trailing"), json::Error);
+}
+
+TEST(Json, IntegersAreExactPastTwoToThe53) {
+    const auto u64 = [](const char* text) { return json::parse(text).as_u64(); };
+    const auto i64 = [](const char* text) { return json::parse(text).as_i64(); };
+
+    EXPECT_EQ(u64("9007199254740993"), 9007199254740993ULL);  // 2^53 + 1
+    EXPECT_EQ(u64("18446744073709551615"), UINT64_MAX);
+    EXPECT_THROW((void)u64("18446744073709551616"), json::Error);  // 2^64
+    EXPECT_THROW((void)u64("1e30"), json::Error);
+    EXPECT_THROW((void)u64("-1"), json::Error);
+    EXPECT_THROW((void)u64("1.5"), json::Error);
+    EXPECT_THROW((void)u64("\"7\""), json::Error);
+    // Forms a double-based reader accepted keep their value.
+    EXPECT_EQ(u64("-0"), 0u);
+    EXPECT_EQ(u64("1e3"), 1000u);
+    EXPECT_EQ(u64("12.0"), 12u);
+    EXPECT_EQ(u64("1.5e1"), 15u);
+    EXPECT_EQ(u64("0e999999"), 0u);
+    EXPECT_THROW((void)u64("1e-1"), json::Error);
+
+    EXPECT_EQ(i64("-9223372036854775808"), INT64_MIN);
+    EXPECT_EQ(i64("9223372036854775807"), INT64_MAX);
+    EXPECT_THROW((void)i64("9223372036854775808"), json::Error);
+    EXPECT_THROW((void)i64("-9223372036854775809"), json::Error);
+    EXPECT_EQ(i64("-9007199254740993"), -9007199254740993LL);
+    EXPECT_EQ(i64("-0"), 0);
+    EXPECT_EQ(i64("-2e2"), -200);
+    EXPECT_THROW((void)i64("2.5"), json::Error);
+}
+
+TEST(Json, EscapedTextAndHexfloatsReadBackExactly) {
+    const std::string text = "q\"b\\n\n t\t c\x01 \x1f end";
+    EXPECT_EQ(json::escape(text), "q\\\"b\\\\n\\n t\\t c\\u0001 \\u001f end");
+    EXPECT_EQ(json::parse("\"" + json::escape(text) + "\"").as_string(), text);
+
+    for (const double v : {0.1, -1.0 / 3.0, 5e-324, 1.7976931348623157e308}) {
+        const double back = json::parse_hexfloat(json::hexfloat(v));
+        EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << json::hexfloat(v);
+    }
+    EXPECT_EQ(json::hexfloat(0.25), "0x1p-2");
+    EXPECT_EQ(json::fmt(0.1), "0.1");
+    EXPECT_EQ(json::fmt(1.0 / 3.0), "0.333333333");
+    EXPECT_THROW((void)json::parse_hexfloat(""), json::Error);
+    EXPECT_THROW((void)json::parse_hexfloat("0x1p-2 "), json::Error);
+
+    EXPECT_EQ(json::parse_u64("18446744073709551615"), UINT64_MAX);
+    EXPECT_THROW((void)json::parse_u64("18446744073709551616"), json::Error);
+    EXPECT_THROW((void)json::parse_u64("-1"), json::Error);
+    EXPECT_THROW((void)json::parse_u64(""), json::Error);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // the --metrics-json round trip (the obs JSON must parse and the campaign
 // report must embed it verbatim).
 #include <atomic>
-#include <cctype>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +11,7 @@
 
 #include "refpga/app/system.hpp"
 #include "refpga/common/contracts.hpp"
+#include "refpga/common/json.hpp"
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/report.hpp"
 #include "refpga/fleet/scenario.hpp"
@@ -20,128 +20,15 @@
 namespace refpga::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON validator (recursive descent): enough to prove the exported
-// documents are well-formed without depending on an external parser.
-// ---------------------------------------------------------------------------
-
-class JsonChecker {
-public:
-    explicit JsonChecker(std::string_view text) : text_(text) {}
-
-    [[nodiscard]] bool valid() {
-        skip_ws();
-        if (!value()) return false;
-        skip_ws();
-        return at_ == text_.size();
-    }
-
-private:
-    std::string_view text_;
-    std::size_t at_ = 0;
-
-    [[nodiscard]] bool eof() const { return at_ >= text_.size(); }
-    [[nodiscard]] char peek() const { return text_[at_]; }
-    void skip_ws() {
-        while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++at_;
-    }
-    bool consume(char c) {
-        if (eof() || peek() != c) return false;
-        ++at_;
+// The exported documents must pass the same strict parser the campaign
+// service reads its job specs with.
+bool json_ok(const std::string& text) {
+    try {
+        (void)json::parse(text);
         return true;
+    } catch (const json::Error&) {
+        return false;
     }
-    bool literal(std::string_view word) {
-        if (text_.substr(at_, word.size()) != word) return false;
-        at_ += word.size();
-        return true;
-    }
-
-    bool string() {
-        if (!consume('"')) return false;
-        while (!eof() && peek() != '"') {
-            if (peek() == '\\') {
-                ++at_;
-                if (eof()) return false;
-            }
-            ++at_;
-        }
-        return consume('"');
-    }
-
-    bool number() {
-        const std::size_t start = at_;
-        if (!eof() && (peek() == '-' || peek() == '+')) ++at_;
-        bool digits = false;
-        const auto eat_digits = [&] {
-            while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-                ++at_;
-                digits = true;
-            }
-        };
-        eat_digits();
-        if (!eof() && peek() == '.') {
-            ++at_;
-            eat_digits();
-        }
-        if (digits && !eof() && (peek() == 'e' || peek() == 'E')) {
-            ++at_;
-            if (!eof() && (peek() == '-' || peek() == '+')) ++at_;
-            eat_digits();
-        }
-        return digits && at_ > start;
-    }
-
-    bool value() {
-        skip_ws();
-        if (eof()) return false;
-        switch (peek()) {
-            case '{': return object();
-            case '[': return array();
-            case '"': return string();
-            case 't': return literal("true");
-            case 'f': return literal("false");
-            case 'n': return literal("null");
-            default: return number();
-        }
-    }
-
-    bool object() {
-        if (!consume('{')) return false;
-        skip_ws();
-        if (consume('}')) return true;
-        for (;;) {
-            skip_ws();
-            if (!string()) return false;
-            skip_ws();
-            if (!consume(':')) return false;
-            if (!value()) return false;
-            skip_ws();
-            if (consume('}')) return true;
-            if (!consume(',')) return false;
-        }
-    }
-
-    bool array() {
-        if (!consume('[')) return false;
-        skip_ws();
-        if (consume(']')) return true;
-        for (;;) {
-            if (!value()) return false;
-            skip_ws();
-            if (consume(']')) return true;
-            if (!consume(',')) return false;
-        }
-    }
-};
-
-bool json_ok(const std::string& text) { return JsonChecker(text).valid(); }
-
-TEST(JsonChecker, AcceptsAndRejects) {
-    EXPECT_TRUE(json_ok(R"({"a":[1,2.5,-3e4],"b":"x\"y","c":true,"d":null})"));
-    EXPECT_FALSE(json_ok(R"({"a":1)"));
-    EXPECT_FALSE(json_ok(R"({"a":})"));
-    EXPECT_FALSE(json_ok("[1,]"));
-    EXPECT_FALSE(json_ok("{} trailing"));
 }
 
 // ---------------------------------------------------------------------------

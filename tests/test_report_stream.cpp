@@ -9,6 +9,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -172,6 +173,109 @@ TEST(ReportStream, CodecRejectsMalformedLines) {
     std::string wrong_key = line;
     wrong_key.replace(wrong_key.find("\"name\""), 6, "\"nom\" ");
     EXPECT_THROW((void)decode_outcome_line(wrong_key), CodecError);
+}
+
+// Every field differs from its default, the error string needs a quote, a
+// backslash and a control-byte escape, and the seed needs more than the 53
+// bits a double holds. Checkpoints journal these bytes, so a journal written
+// by an older build resumes only while the encoding stays exactly this.
+ScenarioOutcome pinned_outcome() {
+    ScenarioOutcome o;
+    Scenario& s = o.scenario;
+    s.name = "variant=monolithic-hw part=xc3s1000 port=icap";
+    s.variant = SystemVariant::MonolithicHw;
+    s.part = PartName::XC3S1000;
+    s.port = PortKind::Icap;
+    s.fill = {0.25, 0.8};
+    s.noise_rms_v = 2.5e-3;
+    s.fault = {0.2, 0.05, 0.01, 1.0 / 3.0};
+    s.cycles = 12;
+    s.seed = 0xdeadbeefcafef00dULL;
+    o.ok = true;
+    o.error = "bad \"fill\" at C:\\tank\x01\n";
+    o.level_error_mean = 1e-3;
+    o.level_error_max = 0.1;
+    o.cycle_busy_ms = 12.75;
+    o.reconfig_ms_per_cycle = 3.1;
+    o.static_mw = 41.5;
+    o.dynamic_mw = 7.0 / 3.0;
+    o.reconfig_energy_mj = 0.3;
+    o.resident_slices = 1234;
+    o.fitted_part = "xc3s400";
+    o.device_fits = true;
+    o.upsets_injected = 9;
+    o.upsets_detected = 8;
+    o.columns_repaired = 7;
+    o.load_retries = 6;
+    o.load_failures = 5;
+    o.rejected_cycles = 4;
+    o.fallback_cycles = 3;
+    o.availability = 0.96875;
+    o.mttd_ms = 1.5;
+    o.mttr_ms = 2.25;
+    o.scrub_ms_per_cycle = 0.125;
+    return o;
+}
+
+const std::string kPinnedLine =
+    R"PIN({"name":"variant=monolithic-hw part=xc3s1000 port=icap",)PIN"
+    R"PIN("variant":1,"part":3,"port":2,"fill_start":"0x1p-2",)PIN"
+    R"PIN("fill_end":"0x1.999999999999ap-1",)PIN"
+    R"PIN("noise_rms_v":"0x1.47ae147ae147bp-9",)PIN"
+    R"PIN("upset_rate":"0x1.999999999999ap-3",)PIN"
+    R"PIN("load_corruption_prob":"0x1.999999999999ap-5",)PIN"
+    R"PIN("flash_error_prob":"0x1.47ae147ae147bp-7",)PIN"
+    R"PIN("glitch_prob_per_cycle":"0x1.5555555555555p-2","cycles":12,)PIN"
+    R"PIN("seed":16045690984503111693,"ok":true,)PIN"
+    R"PIN("error":"bad \"fill\" at C:\\tank\u0001\n",)PIN"
+    R"PIN("level_error_mean":"0x1.0624dd2f1a9fcp-10",)PIN"
+    R"PIN("level_error_max":"0x1.999999999999ap-4",)PIN"
+    R"PIN("cycle_busy_ms":"0x1.98p+3",)PIN"
+    R"PIN("reconfig_ms_per_cycle":"0x1.8cccccccccccdp+1",)PIN"
+    R"PIN("static_mw":"0x1.4cp+5","dynamic_mw":"0x1.2aaaaaaaaaaabp+1",)PIN"
+    R"PIN("reconfig_energy_mj":"0x1.3333333333333p-2","upsets_injected":9,)PIN"
+    R"PIN("upsets_detected":8,"columns_repaired":7,"load_retries":6,)PIN"
+    R"PIN("load_failures":5,"rejected_cycles":4,"fallback_cycles":3,)PIN"
+    R"PIN("availability":"0x1.fp-1","mttd_ms":"0x1.8p+0",)PIN"
+    R"PIN("mttr_ms":"0x1.2p+1","scrub_ms_per_cycle":"0x1p-3",)PIN"
+    R"PIN("resident_slices":1234,"fitted_part":"xc3s400","device_fits":true})PIN";
+
+TEST(ReportStream, CodecLineBytesArePinned) {
+    EXPECT_EQ(encode_outcome_line(pinned_outcome()), kPinnedLine);
+    EXPECT_EQ(encode_outcome_line(decode_outcome_line(kPinnedLine)), kPinnedLine);
+}
+
+// Checkpoint load treats a line that fails to decode at EOF as a torn tail,
+// so every proper prefix of a line must throw CodecError, as must a line
+// whose members are reordered, extended, missing or followed by bytes.
+TEST(ReportStream, CodecRejectsTornPrefixesAndReshapedLines) {
+    const std::string& line = kPinnedLine;
+    for (std::size_t n = 0; n < line.size(); ++n)
+        EXPECT_THROW((void)decode_outcome_line(line.substr(0, n)), CodecError)
+            << "prefix of " << n << " bytes";
+
+    // `,"key":value` of a non-string member, with its position.
+    const auto member = [&](const std::string& key) {
+        const std::size_t at = line.find(",\"" + key + "\":");
+        const std::size_t end = line.find(',', at + 1);
+        return std::make_pair(at, line.substr(at, end - at));
+    };
+    const auto [variant_at, variant] = member("variant");
+    const auto [part_at, part] = member("part");
+    ASSERT_EQ(part_at, variant_at + variant.size());
+    const auto [seed_at, seed] = member("seed");
+
+    const std::string reordered = line.substr(0, variant_at) + part + variant +
+                                  line.substr(part_at + part.size());
+    const std::string extra = line.substr(0, line.size() - 1) + ",\"extra\":1}";
+    const std::string missing =
+        line.substr(0, seed_at) + line.substr(seed_at + seed.size());
+    const std::string duplicated =
+        line.substr(0, line.size() - 1) + seed + "}";
+    for (const std::string& bad :
+         {reordered, extra, missing, duplicated, line + "x", line + "}",
+          line + "{}"})
+        EXPECT_THROW((void)decode_outcome_line(bad), CodecError) << bad;
 }
 
 TEST(ReportStream, DuplicateCommitIsRejected) {

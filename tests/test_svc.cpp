@@ -1,8 +1,8 @@
 // refpga::svc — sharded campaign service.
 //
-// Covers the layers bottom-up: frame protocol, JSON parser, job specs,
-// checkpoint journal (including the corrupt/truncated failure paths), the
-// worker protocol driven directly over pipes, and end-to-end coordinator
+// Covers the layers bottom-up: frame protocol, job specs, checkpoint
+// journal (including the corrupt/truncated failure paths), the worker
+// protocol driven directly over pipes, and end-to-end coordinator
 // runs that must render byte-identical reports to the single-process
 // CampaignRunner — including after a SIGKILLed worker's shard is reassigned
 // and after a graceful stop plus checkpoint resume.
@@ -31,7 +31,6 @@
 #include "refpga/svc/coordinator.hpp"
 #include "refpga/svc/http.hpp"
 #include "refpga/svc/job.hpp"
-#include "refpga/svc/json.hpp"
 #include "refpga/svc/wire.hpp"
 #include "refpga/svc/worker.hpp"
 
@@ -104,24 +103,6 @@ TEST(Wire, PayloadHelpersValidateShape) {
     EXPECT_THROW((void)parse_batch("7 40 2\n{\"a\":1}\n"), WireError);
 }
 
-// ---------------------------------------------------------------- json
-
-TEST(Json, ParsesDocumentsStrictly) {
-    const JsonValue doc = parse_json(
-        " {\"s\": \"a\\nb\", \"n\": -2.5e2, \"l\": [1, true, null]} ");
-    EXPECT_EQ(doc.find("s")->as_string(), "a\nb");
-    EXPECT_EQ(doc.find("n")->as_number(), -250.0);
-    ASSERT_EQ(doc.find("l")->as_array().size(), 3u);
-    EXPECT_TRUE(doc.find("l")->as_array()[1].as_bool());
-    EXPECT_TRUE(doc.find("l")->as_array()[2].is(JsonValue::Kind::Null));
-    EXPECT_EQ(doc.find("missing"), nullptr);
-
-    EXPECT_THROW((void)parse_json("{\"a\":1} trailing"), JsonError);
-    EXPECT_THROW((void)parse_json("{\"a\":1,\"a\":2}"), JsonError);
-    EXPECT_THROW((void)parse_json("{\"a\":}"), JsonError);
-    EXPECT_THROW((void)parse_json("\"unterminated"), JsonError);
-}
-
 // ---------------------------------------------------------------- job
 
 TEST(Job, SpecRoundTripsThroughCanonicalJson) {
@@ -136,6 +117,21 @@ TEST(Job, SpecRoundTripsThroughCanonicalJson) {
     spec.fills = {{0.1, 0.9}, {0.9, 0.1}};
     spec.cycles = 3;
     spec.campaign_seed = 0xdeadbeefcafef00dULL;
+
+    // Checkpoints embed the fingerprint, so these bytes are what let a
+    // journal written by an older build resume.
+    EXPECT_EQ(spec.canonical_json(),
+              R"PIN({"variants":["monolithic-hw","reconfigured-hw"],)PIN"
+              R"PIN("parts":["xc3s200","xc3s1000"],"ports":["icap"],)PIN"
+              R"PIN("noise_levels":["0x1.0624dd2f1a9fcp-10","0x1.47ae147ae147bp-8"],)PIN"
+              R"PIN("upset_rates":["0x0p+0","0x1.999999999999ap-3"],)PIN"
+              R"PIN("fault":{"load_corruption_prob":"0x1.999999999999ap-4",)PIN"
+              R"PIN("flash_error_prob":"0x0p+0","glitch_prob_per_cycle":"0x0p+0"},)PIN"
+              R"PIN("fills":[{"start":"0x1.999999999999ap-4",)PIN"
+              R"PIN("end":"0x1.ccccccccccccdp-1"},{"start":"0x1.ccccccccccccdp-1",)PIN"
+              R"PIN("end":"0x1.999999999999ap-4"}],"cycles":3,)PIN"
+              R"PIN("campaign_seed":"16045690984503111693","stream_block_ticks":4096})PIN");
+    EXPECT_EQ(spec.fingerprint(), 0x6e3deaaf44496ee7ULL);
 
     const JobSpec back = JobSpec::from_json(spec.canonical_json());
     EXPECT_EQ(back.canonical_json(), spec.canonical_json());
@@ -153,6 +149,22 @@ TEST(Job, SpecRoundTripsThroughCanonicalJson) {
     }
 }
 
+TEST(Job, ReadmeSpecCanonicalJsonIsPinned) {
+    const JobSpec spec = JobSpec::from_json(
+        R"({"variants": ["reconfigured-hw"], "parts": ["xc3s200", "xc3s400"],
+ "ports": ["jcap"], "noise_levels": [0.001, 0.005], "cycles": 8})");
+    EXPECT_EQ(spec.canonical_json(),
+              R"PIN({"variants":["reconfigured-hw"],"parts":["xc3s200","xc3s400"],)PIN"
+              R"PIN("ports":["jcap"],"noise_levels":["0x1.0624dd2f1a9fcp-10",)PIN"
+              R"PIN("0x1.47ae147ae147bp-8"],"upset_rates":["0x0p+0"],)PIN"
+              R"PIN("fault":{"load_corruption_prob":"0x0p+0",)PIN"
+              R"PIN("flash_error_prob":"0x0p+0","glitch_prob_per_cycle":"0x0p+0"},)PIN"
+              R"PIN("fills":[{"start":"0x1.999999999999ap-4",)PIN"
+              R"PIN("end":"0x1.ccccccccccccdp-1"}],"cycles":8,"campaign_seed":"2008",)PIN"
+              R"PIN("stream_block_ticks":4096})PIN");
+    EXPECT_EQ(spec.fingerprint(), 0xe7931a861c0da15aULL);
+}
+
 TEST(Job, RejectsUnknownAndMalformedFields) {
     EXPECT_THROW((void)JobSpec::from_json("[1]"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"bogus\":1}"), JobError);
@@ -161,6 +173,39 @@ TEST(Job, RejectsUnknownAndMalformedFields) {
     EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":0}"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"upset_rates\":[-1]}"), JobError);
     EXPECT_THROW((void)JobSpec::from_json("{\"cycles\":2.5}"), JobError);
+
+    // A bad value throws JobError naming its key, whatever the reason.
+    const auto rejects = [](const std::string& doc, const std::string& key) {
+        try {
+            (void)JobSpec::from_json(doc);
+            ADD_FAILURE() << "accepted " << doc;
+        } catch (const JobError& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << doc << " -> " << e.what();
+        }
+    };
+    for (const char* seed : {"1e30", "18446744073709551616", "-1", "1.5"})
+        rejects(std::string("{\"campaign_seed\":") + seed + "}", "campaign_seed");
+    rejects("{\"variants\":[1]}", "variants");
+    rejects("{\"cycles\":\"12\"}", "cycles");
+    rejects("{\"cycles\":1e10}", "cycles");
+    rejects("{\"fills\":[{\"start\":\"0x1p\"}]}", "fills.start");
+
+    // Seeds given as JSON numbers are exact, not rounded through a double.
+    EXPECT_EQ(JobSpec::from_json("{\"campaign_seed\":9007199254740993}")
+                  .campaign_seed,
+              9007199254740993ULL);
+    EXPECT_EQ(JobSpec::from_json("{\"campaign_seed\":18446744073709551615}")
+                  .campaign_seed,
+              UINT64_MAX);
+    // Values the double-based reader accepted keep their value.
+    const JobSpec lenient = JobSpec::from_json(
+        "{\"campaign_seed\":-0,\"cycles\":1e1,\"stream_block_ticks\":64.0,"
+        "\"noise_levels\":[0.001,\"0x1p-9\"]}");
+    EXPECT_EQ(lenient.campaign_seed, 0u);
+    EXPECT_EQ(lenient.cycles, 10);
+    EXPECT_EQ(lenient.stream_block_ticks, 64);
+    EXPECT_EQ(lenient.noise_levels, (std::vector<double>{0.001, 0x1p-9}));
 }
 
 TEST(Job, SeedStringsRejectOverflowButAcceptMaxU64) {
