@@ -74,7 +74,9 @@ struct ReallocateOptions {
     int timing_resync_period = 8;
     /// Observability sink (refpga::obs). When set, optimize_net_power bumps
     /// realloc.{passes,nets_considered,candidates_evaluated,moves_committed,
-    /// moves_rejected,timing_resyncs}_total and observes the pass wall time.
+    /// moves_rejected,timing_resyncs,timing_analyses}_total and observes the
+    /// pass wall time. timing_analyses counts every full analyze_timing call:
+    /// the initial and final ones, gate checks and resyncs.
     /// Counters are recorded from the calling thread only, so candidate
     /// evaluation workers stay untouched; reports remain byte-identical
     /// whether or not a recorder is attached. Non-owning.

@@ -256,6 +256,7 @@ public:
             obs_commits_ = m.counter("realloc.moves_committed_total");
             obs_rejects_ = m.counter("realloc.moves_rejected_total");
             obs_resyncs_ = m.counter("realloc.timing_resyncs_total");
+            obs_analyses_ = m.counter("realloc.timing_analyses_total");
             obs_pass_wall_ = m.histogram(
                 "realloc.pass_wall_seconds",
                 {1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0});
@@ -284,6 +285,7 @@ private:
         std::span<const NetId> affected,
         const std::vector<std::vector<double>>& old_delays) const;
     [[nodiscard]] bool slice_touches_critical(SliceId slice) const;
+    [[nodiscard]] TimingReport analyze();
     void resync(const TimingReport& report);
 
     Placement& placement_;
@@ -308,7 +310,7 @@ private:
     // Observability (counters bumped from the calling thread only).
     obs::Recorder* rec_;
     obs::MetricId obs_passes_, obs_nets_, obs_candidates_, obs_commits_,
-        obs_rejects_, obs_resyncs_, obs_pass_wall_;
+        obs_rejects_, obs_resyncs_, obs_analyses_, obs_pass_wall_;
 
     void obs_add(obs::MetricId id, double delta = 1.0) {
         if (rec_ != nullptr && rec_->enabled()) rec_->metrics().add(id, delta);
@@ -345,7 +347,7 @@ ReallocateReport Engine::run() {
     ReallocateReport report;
     report.total_before_uw = inc_ ? cache_->exact_total_uw()
                                   : total_power_uw(routed_, activity_, options_.vdd);
-    const TimingReport t0 = analyze_timing(routed_, options_.delays);
+    const TimingReport t0 = analyze();
     report.critical_before_ps = t0.critical_path_ps;
     limit_ = report.critical_before_ps * options_.timing_slack;
     if (inc_) {
@@ -368,7 +370,7 @@ ReallocateReport Engine::run() {
 
     report.total_after_uw = inc_ ? cache_->exact_total_uw()
                                  : total_power_uw(routed_, activity_, options_.vdd);
-    report.critical_after_ps = analyze_timing(routed_, options_.delays).critical_path_ps;
+    report.critical_after_ps = analyze().critical_path_ps;
     return report;
 }
 
@@ -492,7 +494,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     // accumulated delay bound no longer proves the limit holds.
     bool reject;
     if (!inc_) {
-        reject = analyze_timing(routed_, options_.delays).critical_path_ps > limit_;
+        reject = analyze().critical_path_ps > limit_;
     } else {
         const double delta = bound_delta(affected, old_delays);
         if (crit_bound_ + delta <= limit_) {
@@ -505,7 +507,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
             // periodic resync closer so the bound re-tightens soon.
             if (slice_touches_critical(slice)) ++commits_since_resync_;
         } else {
-            const TimingReport tr = analyze_timing(routed_, options_.delays);
+            const TimingReport tr = analyze();
             reject = tr.critical_path_ps > limit_;
             if (!reject) resync(tr);
         }
@@ -518,12 +520,12 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
         route_all_lp(affected);
         // Re-measure: the restored routes need not match what the bound last
         // described. Rejections are rare, so this resync is off the hot path.
-        if (inc_) resync(analyze_timing(routed_, options_.delays));
+        if (inc_) resync(analyze());
     } else {
         obs_add(obs_commits_);
         change.moved_logic = true;
         if (inc_ && ++commits_since_resync_ >= options_.timing_resync_period)
-            resync(analyze_timing(routed_, options_.delays));
+            resync(analyze());
     }
 }
 
@@ -622,6 +624,11 @@ bool Engine::slice_touches_critical(SliceId slice) const {
     for (const CellId cell : ps.ffs)
         if (critical_[cell.value()]) return true;
     return false;
+}
+
+TimingReport Engine::analyze() {
+    obs_add(obs_analyses_);
+    return analyze_timing(routed_, options_.delays);
 }
 
 void Engine::resync(const TimingReport& report) {

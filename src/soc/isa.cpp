@@ -86,7 +86,7 @@ bool has_immediate(Opcode op) {
 std::string disassemble(std::uint32_t word, std::uint32_t pc) {
     const Instruction insn = decode(word);
     std::string text(mnemonic(insn.op));
-    auto reg = [](int r) { return "r" + std::to_string(r); };
+    auto reg = [](int r) { return std::string(1, 'r').append(std::to_string(r)); };
     auto pad = [&] { text.append(text.size() < 5 ? 5 - text.size() : 1, ' '); };
 
     switch (insn.op) {

@@ -634,6 +634,263 @@ TEST(Timing, ReportsCriticalCells) {
     EXPECT_GT(report.fmax_mhz(), 0.0);
 }
 
+// The original worklist analysis, kept here as the oracle for
+// par::analyze_timing: launch cells seed a LIFO worklist, and a cell is
+// pushed again every time its arrival rises. Returns the critical path.
+double oracle_critical_path_ps(const RoutedDesign& routed, const CellDelays& delays) {
+    const auto& nl = routed.placement().nl();
+    using netlist::Cell;
+    using netlist::CellKind;
+    auto cell_delay = [&](const Cell& c) {
+        switch (c.kind) {
+            case CellKind::Lut: return delays.lut_ps;
+            case CellKind::Mult18: return delays.mult_ps;
+            default: return 0.0;
+        }
+    };
+    auto launch_delay = [&](const Cell& c) {
+        switch (c.kind) {
+            case CellKind::Ff: return delays.ff_clk_to_q_ps;
+            case CellKind::Bram: return delays.bram_clk_to_q_ps;
+            default: return 0.0;
+        }
+    };
+    auto net_sink_delay = [&](NetId net, const netlist::PinRef& sink,
+                              std::size_t sink_idx) {
+        const NetRoute& r = routed.route(net);
+        if (sink_idx < r.sinks.size() && r.sinks[sink_idx].sink == sink)
+            return r.sinks[sink_idx].delay_ps;
+        for (const auto& s : r.sinks)
+            if (s.sink == sink) return s.delay_ps;
+        return RoutedDesign::kPinDelayPs;
+    };
+    std::vector<double> arrival(nl.cell_count(), -1.0);
+    std::vector<std::uint32_t> worklist;
+    for (std::uint32_t i = 0; i < nl.cell_count(); ++i) {
+        const Cell& c = nl.cell(netlist::CellId{i});
+        if (c.sequential() || c.kind == CellKind::Inpad || c.kind == CellKind::Gnd ||
+            c.kind == CellKind::Vcc) {
+            arrival[i] = launch_delay(c);
+            worklist.push_back(i);
+        }
+    }
+    double critical = 0.0;
+    while (!worklist.empty()) {
+        const std::uint32_t ci = worklist.back();
+        worklist.pop_back();
+        for (const NetId out : nl.cell(netlist::CellId{ci}).outputs) {
+            if (!out.valid()) continue;
+            const auto& n = nl.net(out);
+            if (n.is_clock) continue;
+            for (std::size_t si = 0; si < n.sinks.size(); ++si) {
+                const auto& sink = n.sinks[si];
+                const Cell& sc = nl.cell(sink.cell);
+                double t = arrival[ci] + net_sink_delay(out, sink, si);
+                if (sc.sequential() || sc.kind == CellKind::Outpad) {
+                    const double total =
+                        t + (sc.kind == CellKind::Ff ? delays.ff_setup_ps : 0.0);
+                    critical = std::max(critical, total);
+                    continue;
+                }
+                t += cell_delay(sc);
+                if (t > arrival[sink.cell.value()]) {
+                    arrival[sink.cell.value()] = t;
+                    worklist.push_back(sink.cell.value());
+                }
+            }
+        }
+    }
+    return critical;
+}
+
+bool starts_path(const netlist::Cell& c) {
+    using netlist::CellKind;
+    return c.sequential() || c.kind == CellKind::Inpad || c.kind == CellKind::Gnd ||
+           c.kind == CellKind::Vcc;
+}
+
+/// Delay of one launch-to-capture cell list, summed in the analysis's
+/// operation order, or -1 if two neighbours are not connected.
+double path_delay_ps(const RoutedDesign& routed,
+                     const std::vector<netlist::CellId>& cells,
+                     const CellDelays& delays) {
+    using netlist::CellKind;
+    const auto& nl = routed.placement().nl();
+    if (cells.size() < 2) return -1.0;
+    // Slowest connection from `from` into `to` (the analysis takes the max).
+    auto wire = [&](netlist::CellId from, netlist::CellId to) {
+        double worst = -1.0;
+        for (const NetId out : nl.cell(from).outputs) {
+            if (!out.valid() || nl.net(out).is_clock) continue;
+            const NetRoute& r = routed.route(out);
+            for (const auto& sink : nl.net(out).sinks) {
+                if (sink.cell != to) continue;
+                double d = RoutedDesign::kPinDelayPs;
+                for (const auto& s : r.sinks)
+                    if (s.sink == sink) d = s.delay_ps;
+                worst = std::max(worst, d);
+            }
+        }
+        return worst;
+    };
+    const auto& first = nl.cell(cells.front());
+    double t = first.kind == CellKind::Ff     ? delays.ff_clk_to_q_ps
+               : first.kind == CellKind::Bram ? delays.bram_clk_to_q_ps
+                                              : 0.0;
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+        const double w = wire(cells[i - 1], cells[i]);
+        if (w < 0.0) return -1.0;
+        t += w;
+        const auto& c = nl.cell(cells[i]);
+        if (i + 1 == cells.size()) {
+            if (c.kind == CellKind::Ff) t += delays.ff_setup_ps;
+        } else if (c.kind == CellKind::Lut) {
+            t += delays.lut_ps;
+        } else if (c.kind == CellKind::Mult18) {
+            t += delays.mult_ps;
+        }
+    }
+    return t;
+}
+
+/// The reported path starts at exactly one launch cell, crosses only
+/// combinational cells, ends at a capture cell, and sums to the critical
+/// path bit for bit.
+void expect_well_formed_path(const RoutedDesign& routed, const TimingReport& report,
+                             const CellDelays& delays) {
+    const auto& nl = routed.placement().nl();
+    const auto& cells = report.critical_cells;
+    ASSERT_GE(cells.size(), 2u);
+    EXPECT_TRUE(starts_path(nl.cell(cells.front())));
+    const auto& last = nl.cell(cells.back());
+    EXPECT_TRUE(last.sequential() || last.kind == netlist::CellKind::Outpad);
+    for (std::size_t i = 1; i + 1 < cells.size(); ++i)
+        EXPECT_FALSE(starts_path(nl.cell(cells[i]))) << "cell " << i << " of the path";
+    EXPECT_EQ(path_delay_ps(routed, cells, delays), report.critical_path_ps);
+}
+
+TEST(Timing, MatchesWorklistOracleOnRandomNetlists) {
+    const Device dev(PartName::XC3S200);
+    CellDelays slow_luts;
+    slow_luts.lut_ps = 1375.0;
+    slow_luts.ff_setup_ps = 95.0;
+    for (std::uint64_t design = 1; design <= 32; ++design) {
+        sim::RandomNetlistOptions opts;
+        opts.luts = 30 + 15 * static_cast<int>(design % 5);
+        opts.ffs = 6 + static_cast<int>(design % 7);
+        opts.with_bram = design % 4 != 1;
+        opts.with_mult = design % 3 != 2;
+        Netlist nl = sim::random_netlist(design, opts);
+        if (design % 2 == 0) {
+            // A LUT chain fed by an undriven net: no path reaches it, so it
+            // adds nothing, however long it is.
+            NetId n = nl.add_net("floating");
+            for (int i = 0; i < 16; ++i)
+                n = nl.add_lut(0x1, std::vector<NetId>{n}, "float" + std::to_string(i));
+            nl.add_output_port("float_out", Bus{n});
+        }
+        const PackedDesign packed = pack(nl);
+        Placement placement(dev, nl, packed);
+        placement.place_initial();
+        for (const RouteMode mode : {RouteMode::Performance, RouteMode::LowPower}) {
+            RoutedDesign routed(placement, {});
+            routed.route_all(mode);
+            for (const CellDelays& delays : {CellDelays{}, slow_luts}) {
+                SCOPED_TRACE("design " + std::to_string(design) + " mode " +
+                             std::to_string(static_cast<int>(mode)) + " lut " +
+                             std::to_string(delays.lut_ps));
+                const TimingReport report = analyze_timing(routed, delays);
+                EXPECT_EQ(report.critical_path_ps, oracle_critical_path_ps(routed, delays));
+                expect_well_formed_path(routed, report, delays);
+            }
+        }
+    }
+}
+
+// inpad -> `pre` LUTs -> FF -> `post` LUTs -> FF -> outpad. The reported
+// path is the slowest of the three register-bounded segments, and a walk
+// back from its capture cell stops at that segment's launch cell.
+TEST(Timing, CriticalPathStopsAtLaunchCell) {
+    const Device dev(PartName::XC3S200);
+    for (const int pre : {1, 3, 5})
+        for (const int post : {2, 6, 10}) {
+            SCOPED_TRACE("pre " + std::to_string(pre) + " post " + std::to_string(post));
+            Design d;
+            Builder b(d.nl, d.clk);
+            NetId n = d.nl.add_input_port("a", 1)[0];
+            auto cell_of = [&](NetId net) { return d.nl.net(net).driver.cell; };
+            std::vector<netlist::CellId> first{cell_of(n)};
+            for (int i = 0; i < pre; ++i) first.push_back(cell_of(n = b.not_(n)));
+            first.push_back(cell_of(n = b.ff(n)));
+            std::vector<netlist::CellId> second{first.back()};
+            for (int i = 0; i < post; ++i) second.push_back(cell_of(n = b.not_(n)));
+            second.push_back(cell_of(n = b.ff(n)));
+            d.nl.add_output_port("q", Bus{n});
+            std::vector<netlist::CellId> third{second.back(), d.nl.find_port("q")->pads[0]};
+
+            const PackedDesign packed = pack(d.nl);
+            Placement placement(dev, d.nl, packed);
+            placement.place_initial();
+            RoutedDesign routed(placement, {});
+            routed.route_all(RouteMode::Performance);
+            const TimingReport report = analyze_timing(routed);
+
+            const CellDelays delays;
+            const std::vector<netlist::CellId>* want = &first;
+            for (const auto* segment : {&second, &third})
+                if (path_delay_ps(routed, *segment, delays) >
+                    path_delay_ps(routed, *want, delays))
+                    want = segment;
+            EXPECT_EQ(report.critical_cells, *want);
+            expect_well_formed_path(routed, report, delays);
+        }
+}
+
+TEST(Timing, CombinationalLoopThrows) {
+    Design d;
+    const NetId a = d.nl.add_input_port("a", 1)[0];
+    const NetId feedback = d.nl.add_net("feedback");
+    const NetId o1 = d.nl.add_lut(0x6, std::vector<NetId>{a, feedback}, "l1");
+    const NetId o2 = d.nl.add_lut(0x1, std::vector<NetId>{o1}, "l2");
+    // Close the loop by hand (DRC would refuse it): l2 drives l1's pin 1.
+    const netlist::CellId l1 = d.nl.net(o1).driver.cell;
+    d.nl.cell(l1).inputs[1] = o2;
+    d.nl.net(feedback).sinks.clear();
+    d.nl.net(o2).sinks.push_back(netlist::PinRef{l1, 1});
+    d.nl.add_output_port("o", Bus{o2});
+
+    const PackedDesign packed = pack(d.nl);
+    const Device dev(PartName::XC3S200);
+    Placement placement(dev, d.nl, packed);
+    placement.place_initial();
+    RoutedDesign routed(placement, {});
+    routed.route_all(RouteMode::Performance);
+    EXPECT_THROW((void)analyze_timing(routed), ContractViolation);
+}
+
+// The Table-2 system netlist on the XC3S1000, annealed at the §4.3 flow's
+// effort with placer seed 4: pins the critical path in both route modes.
+TEST(Timing, Table2CriticalPathPinned) {
+    const app::SystemNetlist sys = app::build_system_netlist({});
+    const PackedDesign packed = pack(sys.nl);
+    const Device dev(PartName::XC3S1000);
+    Placement placement(dev, sys.nl, packed);
+    placement.place_initial();
+    PlacerOptions options;
+    options.seed = 4;
+    options.effort = 0.15;
+    (void)anneal(placement, options);
+    for (const auto& [mode, want] : {std::pair{RouteMode::Performance, 576210.0},
+                                     std::pair{RouteMode::LowPower, 579110.0}}) {
+        RoutedDesign routed(placement, {});
+        routed.route_all(mode);
+        const TimingReport report = analyze_timing(routed);
+        EXPECT_EQ(report.critical_path_ps, want);
+        EXPECT_EQ(report.critical_path_ps, oracle_critical_path_ps(routed, {}));
+        expect_well_formed_path(routed, report, {});
+    }
+}
+
 // ---------------------------------------------------------------- reallocate
 
 TEST(Reallocate, ReducesHotNetPowerWithoutRaisingTotal) {

@@ -15,6 +15,7 @@
 #include "refpga/common/thread_pool.hpp"
 #include "refpga/netlist/adjacency.hpp"
 #include "refpga/netlist/builder.hpp"
+#include "refpga/obs/obs.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
 #include "refpga/par/reallocate.hpp"
@@ -154,6 +155,40 @@ TEST(ReallocateEngine, TightSlackStillEquivalent) {
     const ReallocateReport incremental = run_engine(options);
     EXPECT_TRUE(incremental == reference);
     EXPECT_LE(reference.critical_after_ps, reference.critical_before_ps + 1e-9);
+}
+
+// A recorder only observes: the report is the one a plain run produces,
+// and the analysis counter accounts for every full timing analysis. The
+// Reference engine analyses once per move; the Incremental one per resync,
+// plus once more before the resync that follows a rejection.
+TEST(ReallocateEngine, RecorderCountsEveryTimingAnalysis) {
+    for (const double slack : {1.10, 1.0})
+        for (const ReallocEngine engine :
+             {ReallocEngine::Incremental, ReallocEngine::Reference}) {
+            SCOPED_TRACE("slack " + std::to_string(slack) + " engine " +
+                         std::to_string(static_cast<int>(engine)));
+            ReallocateOptions options = base_options();
+            options.timing_slack = slack;
+            options.engine = engine;
+            const ReallocateReport plain = run_engine(options);
+            obs::Recorder recorder;
+            options.recorder = &recorder;
+            const ReallocateReport traced = run_engine(options);
+            EXPECT_TRUE(traced == plain);
+
+            const obs::MetricRegistry& m = recorder.metrics();
+            const double analyses = m.value("realloc.timing_analyses_total");
+            const double commits = m.value("realloc.moves_committed_total");
+            const double rejects = m.value("realloc.moves_rejected_total");
+            const double resyncs = m.value("realloc.timing_resyncs_total");
+            EXPECT_GT(commits + rejects, 0.0);
+            if (engine == ReallocEngine::Reference) {
+                EXPECT_EQ(analyses, 2.0 + commits + rejects);
+                EXPECT_EQ(resyncs, 0.0);
+            } else {
+                EXPECT_EQ(analyses, 2.0 + resyncs + rejects);
+            }
+        }
 }
 
 // ------------------------------------------------- adjacency index

@@ -238,7 +238,7 @@ std::vector<std::string> sample_lines(std::size_t first, std::size_t count) {
     std::vector<std::string> lines;
     for (std::size_t i = 0; i < count; ++i) {
         fleet::ScenarioOutcome o;
-        o.scenario.name = "s" + std::to_string(first + i);
+        o.scenario.name = std::string(1, 's').append(std::to_string(first + i));
         o.scenario.seed = first + i;
         o.ok = true;
         lines.push_back(fleet::encode_outcome_line(o));
