@@ -1,7 +1,7 @@
 // §4.3 reallocation engine: incremental vs reference, on the Table-2 scenario.
 //
 // The incremental engine (precomputed adjacency, scratch-route delta costing,
-// cached net power, lazy timing, parallel candidate evaluation) must produce a
+// cached net power, parallel candidate evaluation) must produce a
 // byte-identical ReallocateReport to the retained reference engine at every
 // thread count. On the full Table-2 scenario it measured 7.7-10.3x faster
 // (Release, shared 4-vCPU host); the reference engine's cost is its live

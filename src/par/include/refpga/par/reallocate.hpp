@@ -13,14 +13,15 @@
 // Two engines implement one set of semantics:
 //   * Incremental (default): precomputed slice<->net adjacency (ReallocIndex
 //     over netlist::CellNetIndex), scratch-route delta costing (no
-//     occupy/undo churn on the live grid), cached per-net power with an O(1)
-//     maintained total (NetPowerCache), lazy timing behind a sound
-//     delay-increase bound with periodic full resync, and deterministic
-//     parallel candidate evaluation over a ThreadPool.
+//     occupy/undo churn on the live grid), cached per-net power
+//     (NetPowerCache), and deterministic parallel candidate evaluation over
+//     a ThreadPool.
 //   * Reference: the retained naive path — per-call set builders, per-
-//     candidate baseline recomputation, a full timing analysis after every
-//     committed move — with byte-identical reports. It exists so tests and
+//     candidate live re-route and undo, per-candidate baseline
+//     recomputation — with byte-identical reports. It exists so tests and
 //     benches can pin the incremental engine's output and speedup.
+// Both engines gate timing the same way: one full analyze_timing after every
+// chosen move, which is undone when the critical path exceeds the limit.
 //
 // Determinism contract: for a fixed input, the ReallocateReport is
 // byte-identical across engines and across any thread count. Candidate
@@ -39,17 +40,15 @@
 #include "refpga/par/timing.hpp"
 #include "refpga/sim/activity.hpp"
 
-namespace refpga {
-class ThreadPool;
-}
-
 namespace refpga::par {
 
 enum class ReallocEngine {
-    Incremental,  ///< indexed, delta-costed, lazily timed, parallel (default)
+    Incremental,  ///< indexed, delta-costed, parallel (default)
     Reference,    ///< retained naive path; identical reports, naive cost
 };
 
+/// optimize_net_power throws ContractViolation unless timing_slack is finite
+/// and >= 1, vdd is finite and > 0, radius >= 0 and threads >= 1.
 struct ReallocateOptions {
     std::size_t net_count = 10;     ///< how many hot nets to optimize
     double vdd = 1.2;               ///< core voltage
@@ -65,18 +64,12 @@ struct ReallocateOptions {
     /// Candidate-evaluation worker count (Incremental engine only). 1 keeps
     /// everything on the calling thread; results are identical either way.
     int threads = 1;
-    /// Reuse an existing pool across calls (overrides `threads`). The engine
-    /// uses wait_idle() as a barrier, so prefer a pool without unrelated
-    /// concurrent work.
-    ThreadPool* pool = nullptr;
-    /// Full timing re-analysis at least every N committed moves, to keep the
-    /// accumulated delay bound tight (Incremental engine only).
-    int timing_resync_period = 8;
     /// Observability sink (refpga::obs). When set, optimize_net_power bumps
     /// realloc.{passes,nets_considered,candidates_evaluated,moves_committed,
-    /// moves_rejected,timing_resyncs,timing_analyses}_total and observes the
-    /// pass wall time. timing_analyses counts every full analyze_timing call:
-    /// the initial and final ones, gate checks and resyncs.
+    /// moves_rejected,timing_analyses}_total and observes the pass wall
+    /// time. timing_analyses counts every full analyze_timing call: the
+    /// initial and final ones and one gate check per chosen move, so it
+    /// equals 2 + moves_committed + moves_rejected.
     /// Counters are recorded from the calling thread only, so candidate
     /// evaluation workers stay untouched; reports remain byte-identical
     /// whether or not a recorder is attached. Non-owning.
@@ -141,11 +134,10 @@ private:
 };
 
 /// Per-net dynamic power cache. refresh() recomputes one net's entry from
-/// its live route and maintains a running total, so total_uw() is O(1)
-/// instead of O(nets) per query; only re-routed nets are ever touched.
-/// exact_total_uw() re-sums the cached entries in net order — the same
-/// operation order a from-scratch total uses — so reports stay byte-
-/// identical to the Reference engine's.
+/// its live route; only re-routed nets are ever touched. exact_total_uw()
+/// sums the cached entries in net order — the same operation order a
+/// from-scratch total uses — so reports stay byte-identical to the
+/// Reference engine's.
 class NetPowerCache {
 public:
     NetPowerCache(const RoutedDesign& routed, const sim::ActivityMap& activity,
@@ -153,7 +145,6 @@ public:
 
     [[nodiscard]] double net_uw(netlist::NetId net) const;
     void refresh(netlist::NetId net);
-    [[nodiscard]] double total_uw() const { return total_uw_; }
     [[nodiscard]] double exact_total_uw() const;
 
 private:
@@ -161,7 +152,6 @@ private:
     const sim::ActivityMap* activity_;
     double vdd_;
     std::vector<double> net_uw_;
-    double total_uw_ = 0.0;
 };
 
 }  // namespace refpga::par

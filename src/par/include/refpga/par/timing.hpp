@@ -45,11 +45,4 @@ struct CellDelays {
 [[nodiscard]] TimingReport analyze_timing(const RoutedDesign& routed,
                                           const CellDelays& delays = {});
 
-/// Per-cell mask over the netlist: true when the cell lies on `report`'s
-/// critical path. The §4.3 reallocation engine analyzes timing lazily; this
-/// mask is how it decides whether a moved slice can affect the critical path
-/// directly and therefore warrants a full re-analysis.
-[[nodiscard]] std::vector<bool> critical_cell_mask(const TimingReport& report,
-                                                   std::size_t cell_count);
-
 }  // namespace refpga::par

@@ -1,7 +1,7 @@
 #include "refpga/par/reallocate.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <optional>
 #include <set>
 
@@ -88,7 +88,6 @@ NetPowerCache::NetPowerCache(const RoutedDesign& routed,
     net_uw_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i)
         net_uw_.push_back(net_power_uw(routed, NetId{i}, activity, vdd));
-    total_uw_ = exact_total_uw();
 }
 
 double NetPowerCache::net_uw(NetId net) const {
@@ -98,9 +97,7 @@ double NetPowerCache::net_uw(NetId net) const {
 
 void NetPowerCache::refresh(NetId net) {
     REFPGA_EXPECTS(net.value() < net_uw_.size());
-    const double now = net_power_uw(*routed_, net, *activity_, vdd_);
-    total_uw_ += now - net_uw_[net.value()];
-    net_uw_[net.value()] = now;
+    net_uw_[net.value()] = net_power_uw(*routed_, net, *activity_, vdd_);
 }
 
 double NetPowerCache::exact_total_uw() const {
@@ -235,8 +232,8 @@ std::vector<SliceCoord> enumerate_targets(const Placement& placement,
 
 // ---------------------------------------------------------------------- engine
 
-/// One optimization run. Both engines share this skeleton; the Incremental
-/// flag switches bookkeeping strategy (indexes, caches, lazy timing,
+/// One optimization run. Both engines share this skeleton and its timing
+/// gate; the Incremental flag switches bookkeeping strategy (indexes, caches,
 /// parallel candidate evaluation) without changing any decision.
 class Engine {
 public:
@@ -255,7 +252,6 @@ public:
             obs_candidates_ = m.counter("realloc.candidates_evaluated_total");
             obs_commits_ = m.counter("realloc.moves_committed_total");
             obs_rejects_ = m.counter("realloc.moves_rejected_total");
-            obs_resyncs_ = m.counter("realloc.timing_resyncs_total");
             obs_analyses_ = m.counter("realloc.timing_analyses_total");
             obs_pass_wall_ = m.histogram(
                 "realloc.pass_wall_seconds",
@@ -279,14 +275,7 @@ private:
                              std::vector<double>& gains);
     void rip_all(std::span<const NetId> affected);
     void route_all_lp(std::span<const NetId> affected);
-    [[nodiscard]] std::vector<std::vector<double>> capture_delays(
-        std::span<const NetId> affected) const;
-    [[nodiscard]] double bound_delta(
-        std::span<const NetId> affected,
-        const std::vector<std::vector<double>>& old_delays) const;
-    [[nodiscard]] bool slice_touches_critical(SliceId slice) const;
     [[nodiscard]] TimingReport analyze();
-    void resync(const TimingReport& report);
 
     Placement& placement_;
     RoutedDesign& routed_;
@@ -299,18 +288,14 @@ private:
     std::optional<NetPowerCache> cache_;
 
     double limit_ = 0.0;
-    double crit_bound_ = 0.0;           ///< sound upper bound on current critical path
-    std::vector<bool> critical_;        ///< cell mask from the last full analysis
-    int commits_since_resync_ = 0;
 
-    ThreadPool* pool_ = nullptr;
-    std::optional<ThreadPool> local_pool_;
+    std::optional<ThreadPool> pool_;
     std::vector<RouteScratch> scratches_;  ///< one per evaluation worker
 
     // Observability (counters bumped from the calling thread only).
     obs::Recorder* rec_;
     obs::MetricId obs_passes_, obs_nets_, obs_candidates_, obs_commits_,
-        obs_rejects_, obs_resyncs_, obs_analyses_, obs_pass_wall_;
+        obs_rejects_, obs_analyses_, obs_pass_wall_;
 
     void obs_add(obs::MetricId id, double delta = 1.0) {
         if (rec_ != nullptr && rec_->enabled()) rec_->metrics().add(id, delta);
@@ -318,18 +303,9 @@ private:
 };
 
 void Engine::setup_pool() {
-    int workers = 1;
-    if (inc_) {
-        if (options_.pool != nullptr) {
-            pool_ = options_.pool;
-            workers = pool_->thread_count();
-        } else if (options_.threads > 1) {
-            local_pool_.emplace(options_.threads);
-            pool_ = &*local_pool_;
-            workers = options_.threads;
-        }
-    }
-    scratches_.resize(static_cast<std::size_t>(std::max(workers, 1)));
+    const int workers = inc_ ? options_.threads : 1;
+    if (workers > 1) pool_.emplace(workers);
+    scratches_.resize(static_cast<std::size_t>(workers));
 }
 
 ReallocateReport Engine::run() {
@@ -347,13 +323,8 @@ ReallocateReport Engine::run() {
     ReallocateReport report;
     report.total_before_uw = inc_ ? cache_->exact_total_uw()
                                   : total_power_uw(routed_, activity_, options_.vdd);
-    const TimingReport t0 = analyze();
-    report.critical_before_ps = t0.critical_path_ps;
+    report.critical_before_ps = analyze().critical_path_ps;
     limit_ = report.critical_before_ps * options_.timing_slack;
-    if (inc_) {
-        crit_bound_ = t0.critical_path_ps;
-        critical_ = critical_cell_mask(t0, nl.cell_count());
-    }
 
     for (const NetId net : rank_hot_nets(routed_, activity_, options_)) {
         obs_add(obs_nets_);
@@ -376,14 +347,8 @@ ReallocateReport Engine::run() {
 
 void Engine::optimize_net(NetId net, NetPowerChange& change) {
     // Step 1: re-route the net itself on low-capacitance wires.
-    const NetId self[] = {net};
-    std::vector<std::vector<double>> old_delays;
-    if (inc_) old_delays = capture_delays(self);
     routed_.reroute_net(net, RouteMode::LowPower);
-    if (inc_) {
-        cache_->refresh(net);
-        crit_bound_ += bound_delta(self, old_delays);
-    }
+    if (inc_) cache_->refresh(net);
 
     // Step 2: try to pull each participating slice toward the centroid.
     const SliceCoord centroid = net_centroid(placement_, net);
@@ -409,9 +374,6 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     const std::vector<SliceCoord> targets =
         enumerate_targets(placement_, region, centroid, original, options_.radius);
     if (targets.empty()) return;
-
-    std::vector<std::vector<double>> old_delays;
-    if (inc_) old_delays = capture_delays(affected);
 
     // Candidates are delta-costed against the base occupancy with every
     // affected net ripped up -- exactly the state a live re-route starts
@@ -480,52 +442,18 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     const bool move = best < targets.size();
     if (move) placement_.swap_sites(original, targets[best]);
     route_all_lp(affected);
+    if (!move) return;
 
-    if (!move) {
-        // The restored routes need not equal the pre-step ones (they were
-        // re-composed from the ripped-up base); keep the bound sound.
-        if (inc_) crit_bound_ += bound_delta(affected, old_delays);
-        return;
-    }
-
-    // Timing gate: undo the move if the clock target breaks. The Reference
-    // engine re-analyzes after every committed move; the incremental engine
-    // only when the moved slice touches the last-known critical path or the
-    // accumulated delay bound no longer proves the limit holds.
-    bool reject;
-    if (!inc_) {
-        reject = analyze().critical_path_ps > limit_;
-    } else {
-        const double delta = bound_delta(affected, old_delays);
-        if (crit_bound_ + delta <= limit_) {
-            // The bound proves the move cannot break the clock target, so the
-            // full analysis is skipped outright; the decision matches what a
-            // measurement would have produced.
-            crit_bound_ += delta;
-            reject = false;
-            // Moving a critical-path slice likely reshaped the path: pull the
-            // periodic resync closer so the bound re-tightens soon.
-            if (slice_touches_critical(slice)) ++commits_since_resync_;
-        } else {
-            const TimingReport tr = analyze();
-            reject = tr.critical_path_ps > limit_;
-            if (!reject) resync(tr);
-        }
-    }
-
-    if (reject) {
+    // Timing gate: undo the move if the clock target breaks. One full
+    // analysis per chosen move, in both engines.
+    if (analyze().critical_path_ps > limit_) {
         obs_add(obs_rejects_);
         rip_all(affected);
         placement_.swap_sites(targets[best], original);
         route_all_lp(affected);
-        // Re-measure: the restored routes need not match what the bound last
-        // described. Rejections are rare, so this resync is off the hot path.
-        if (inc_) resync(analyze());
     } else {
         obs_add(obs_commits_);
         change.moved_logic = true;
-        if (inc_ && ++commits_since_resync_ >= options_.timing_resync_period)
-            resync(analyze());
     }
 }
 
@@ -546,8 +474,7 @@ void Engine::evaluate_candidates(std::span<const NetId> affected, SliceId slice,
                                  std::span<const std::size_t> groups,
                                  double cost_before, std::vector<double>& gains) {
     const std::size_t count = groups.size();
-    const std::size_t workers =
-        pool_ != nullptr ? static_cast<std::size_t>(pool_->thread_count()) : 1;
+    const std::size_t workers = scratches_.size();
     if (workers <= 1 || count < 2) {
         for (std::size_t g = 0; g < count; ++g)
             gains[g] = cost_before -
@@ -583,59 +510,9 @@ void Engine::route_all_lp(std::span<const NetId> affected) {
     }
 }
 
-std::vector<std::vector<double>> Engine::capture_delays(
-    std::span<const NetId> affected) const {
-    std::vector<std::vector<double>> out;
-    out.reserve(affected.size());
-    for (const NetId a : affected) {
-        const NetRoute& r = routed_.route(a);
-        std::vector<double> delays;
-        delays.reserve(r.sinks.size());
-        for (const auto& s : r.sinks) delays.push_back(s.delay_ps);
-        out.push_back(std::move(delays));
-    }
-    return out;
-}
-
-double Engine::bound_delta(
-    std::span<const NetId> affected,
-    const std::vector<std::vector<double>>& old_delays) const {
-    // Sound upper bound on critical-path growth from re-routing `affected`:
-    // a register-to-register path crosses each net at most once, through
-    // exactly one sink connection, so its delay grows by at most each net's
-    // worst per-sink increase, summed over the re-routed nets.
-    double total = 0.0;
-    for (std::size_t k = 0; k < affected.size(); ++k) {
-        const NetRoute& r = routed_.route(affected[k]);
-        if (r.sinks.size() != old_delays[k].size())
-            return std::numeric_limits<double>::infinity();  // force re-analysis
-        double worst = 0.0;
-        for (std::size_t i = 0; i < r.sinks.size(); ++i)
-            worst = std::max(worst, r.sinks[i].delay_ps - old_delays[k][i]);
-        total += std::max(0.0, worst);
-    }
-    return total;
-}
-
-bool Engine::slice_touches_critical(SliceId slice) const {
-    const PackedSlice& ps = placement_.design().slices()[slice.value()];
-    for (const CellId cell : ps.luts)
-        if (critical_[cell.value()]) return true;
-    for (const CellId cell : ps.ffs)
-        if (critical_[cell.value()]) return true;
-    return false;
-}
-
 TimingReport Engine::analyze() {
     obs_add(obs_analyses_);
     return analyze_timing(routed_, options_.delays);
-}
-
-void Engine::resync(const TimingReport& report) {
-    obs_add(obs_resyncs_);
-    crit_bound_ = report.critical_path_ps;
-    critical_ = critical_cell_mask(report, placement_.nl().cell_count());
-    commits_since_resync_ = 0;
 }
 
 }  // namespace
@@ -643,6 +520,10 @@ void Engine::resync(const TimingReport& report) {
 ReallocateReport optimize_net_power(Placement& placement, RoutedDesign& routed,
                                     const sim::ActivityMap& activity,
                                     const ReallocateOptions& options) {
+    REFPGA_EXPECTS(std::isfinite(options.timing_slack) && options.timing_slack >= 1.0);
+    REFPGA_EXPECTS(std::isfinite(options.vdd) && options.vdd > 0.0);
+    REFPGA_EXPECTS(options.radius >= 0);
+    REFPGA_EXPECTS(options.threads >= 1);
     return Engine(placement, routed, activity, options).run();
 }
 

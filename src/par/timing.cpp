@@ -134,12 +134,4 @@ TimingReport analyze_timing(const RoutedDesign& routed, const CellDelays& delays
     return report;
 }
 
-std::vector<bool> critical_cell_mask(const TimingReport& report,
-                                     std::size_t cell_count) {
-    std::vector<bool> mask(cell_count, false);
-    for (const CellId cell : report.critical_cells)
-        if (cell.valid() && cell.value() < cell_count) mask[cell.value()] = true;
-    return mask;
-}
-
 }  // namespace refpga::par

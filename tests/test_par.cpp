@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "refpga/app/activity.hpp"
 #include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/builder.hpp"
@@ -956,6 +958,85 @@ TEST(Reallocate, HonoursTimingGate) {
     const ReallocateReport report =
         optimize_net_power(placement, routed, activity, options);
     EXPECT_LE(report.critical_after_ps, report.critical_before_ps * 1.5 + 1.0);
+}
+
+// A NaN slack would make the timing limit NaN, and `critical > NaN` never
+// rejects a move: every option the engine cannot honour throws up front.
+TEST(Reallocate, RejectsInvalidOptions) {
+    Design d;
+    Builder b(d.nl, d.clk);
+    d.nl.add_output_port("o", b.not_bus(b.counter(4)));
+    const PackedDesign packed = pack(d.nl);
+    const Device dev(PartName::XC3S200);
+    Placement placement(dev, d.nl, packed);
+    placement.place_initial();
+    RoutedDesign routed(placement, {});
+    routed.route_all(RouteMode::Performance);
+    sim::Simulator simulator(d.nl);
+    simulator.run(64);
+    const auto activity = sim::activity_from_simulation(simulator, 50e6);
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    auto rejects = [&](auto mutate) {
+        ReallocateOptions options;
+        options.net_count = 1;
+        mutate(options);
+        EXPECT_THROW((void)optimize_net_power(placement, routed, activity, options),
+                     ContractViolation);
+    };
+    rejects([](ReallocateOptions& o) { o.timing_slack = std::nan(""); });
+    rejects([](ReallocateOptions& o) { o.timing_slack = inf; });
+    rejects([](ReallocateOptions& o) { o.timing_slack = 0.99; });
+    rejects([](ReallocateOptions& o) { o.vdd = std::nan(""); });
+    rejects([](ReallocateOptions& o) { o.vdd = inf; });
+    rejects([](ReallocateOptions& o) { o.vdd = 0.0; });
+    rejects([](ReallocateOptions& o) { o.vdd = -1.2; });
+    rejects([](ReallocateOptions& o) { o.radius = -1; });
+    rejects([](ReallocateOptions& o) { o.threads = 0; });
+    rejects([](ReallocateOptions& o) { o.threads = -2; });
+
+    // The boundary values are accepted.
+    ReallocateOptions options;
+    options.net_count = 1;
+    options.timing_slack = 1.0;
+    options.radius = 0;
+    EXPECT_NO_THROW((void)optimize_net_power(placement, routed, activity, options));
+}
+
+// The §4.3 flow on the Table-2 system netlist (XC3S1000, effort 0.15,
+// placer seed 4, 8 nets, 2 threads): pins the default engine's report and
+// move counts on the real design, where the engine-equivalence tests only
+// compare the two engines on a small scattered counter.
+TEST(Reallocate, Table2ReportPinned) {
+    const app::SystemNetlist sys = app::build_system_netlist({});
+    const PackedDesign packed = pack(sys.nl);
+    const Device dev(PartName::XC3S1000);
+    Placement placement(dev, sys.nl, packed);
+    placement.place_initial();
+    PlacerOptions placer;
+    placer.seed = 4;
+    placer.effort = 0.15;
+    (void)anneal(placement, placer);
+    RoutedDesign routed(placement, {});
+    routed.route_all(RouteMode::Performance);
+    const sim::ActivityMap activity = app::system_activity(sys.nl, 50e6);
+
+    obs::Recorder recorder;
+    ReallocateOptions options;
+    options.net_count = 8;
+    options.threads = 2;
+    options.recorder = &recorder;
+    const ReallocateReport report =
+        optimize_net_power(placement, routed, activity, options);
+    ASSERT_EQ(report.nets.size(), 8u);
+    EXPECT_EQ(report.total_before_uw, 0x1.d1f62e87ae143p+18);  // 477 144.727 uW
+    EXPECT_EQ(report.total_after_uw, 0x1.cf7b94570a3d3p+18);   // 474 606.318 uW
+    EXPECT_EQ(report.critical_before_ps, 0x1.195a4p+19);       // 576 210 ps
+    EXPECT_EQ(report.critical_after_ps, 0x1.190ccp+19);        // 575 590 ps
+    const obs::MetricRegistry& m = recorder.metrics();
+    EXPECT_EQ(m.value("realloc.candidates_evaluated_total"), 598.0);
+    EXPECT_EQ(m.value("realloc.moves_committed_total"), 15.0);
+    EXPECT_EQ(m.value("realloc.moves_rejected_total"), 0.0);
+    EXPECT_EQ(m.value("realloc.timing_analyses_total"), 2.0 + 15.0);
 }
 
 TEST(Reallocate, CaptureRoutesProducesViews) {
