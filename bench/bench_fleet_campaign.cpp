@@ -5,25 +5,25 @@
 // and reports scenarios/sec plus the speedup over the serial run. Scenarios
 // are embarrassingly parallel — each owns its MeasurementSystem — so
 // throughput should track physical cores. The bench also re-checks the
-// determinism guarantee: the serial and widest-parallel JSON reports must
-// be byte-identical.
+// determinism guarantee: every run's JSON report must be byte-identical to
+// the serial one.
 //
-// Emits BENCH_fleet_campaign.json next to the binary; --json mirrors it to
-// stdout. Exit status is non-zero on a determinism violation or (full mode,
-// >= 2 cores) a 4-thread speedup below the 1.5x target, so CI can run it as
-// a check. The process-level analogue of this bench is bench_svc_scale.
+// The thread counts run interleaved through the bench harness (one warm-up
+// round, then a fixed number of rounds) and the speedup is a ratio of median wall
+// times. The sweep is sized so the serial run takes over a second (over
+// 0.2 s in smoke mode): a run of a few tens of milliseconds times the
+// scheduler, not the campaign.
+//
+// Emits BENCH_fleet_campaign.json; --json echoes it. Exit status is non-zero
+// on a determinism violation or (full mode, >= 2 cores) a 4-thread speedup
+// below the 1.5x target. The process-level analogue is bench_svc_scale.
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "refpga/common/table.hpp"
 #include "refpga/fleet/campaign.hpp"
 #include "refpga/fleet/report.hpp"
 
@@ -31,11 +31,8 @@ namespace {
 
 using namespace refpga;
 
-bool flag(int argc, char** argv, std::string_view name) {
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == name) return true;
-    return false;
-}
+constexpr int kSmokeRounds = 3;
+constexpr int kFullRounds = 5;
 
 std::vector<fleet::Scenario> campaign_sweep(bool smoke) {
     fleet::SweepBuilder builder;
@@ -45,34 +42,28 @@ std::vector<fleet::Scenario> campaign_sweep(bool smoke) {
         .campaign_seed(2008);
     if (smoke) {
         builder.parts({fabric::PartName::XC3S200, fabric::PartName::XC3S400})
-            .noise_levels({1e-3})
-            .cycles(2);
+            .noise_levels({1e-3, 2e-3})
+            .cycles(160);
     } else {
         builder.parts({fabric::PartName::XC3S200, fabric::PartName::XC3S400,
                        fabric::PartName::XC3S1000})
-            .noise_levels({1e-3, 5e-3})
-            .cycles(4);
+            .noise_levels({1e-3, 2e-3, 5e-3, 1e-2})
+            .cycles(240);
     }
     return builder.build();
 }
 
-struct Run {
-    int threads = 0;
-    double wall_s = 0.0;
-    double scenarios_per_s = 0.0;
-    double speedup = 1.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    const bool smoke = benchkit::smoke_mode(argc, argv);
-    const bool echo_json = flag(argc, argv, "--json");
+    const benchkit::Args args(argc, argv);
+    const int rounds = args.smoke ? kSmokeRounds : kFullRounds;
+    benchkit::Report report("fleet_campaign", args, rounds);
     benchkit::print_header("Fleet",
                            std::string("campaign throughput vs worker threads") +
-                               (smoke ? " [smoke]" : ""));
+                               (args.smoke ? " [smoke]" : ""));
 
-    const std::vector<fleet::Scenario> sweep = campaign_sweep(smoke);
+    const std::vector<fleet::Scenario> sweep = campaign_sweep(args.smoke);
     int hw = static_cast<int>(std::thread::hardware_concurrency());
     if (hw < 1) hw = 1;
     std::vector<int> thread_counts{1, 2, 4};
@@ -80,76 +71,42 @@ int main(int argc, char** argv) {
         thread_counts.end())
         thread_counts.push_back(hw);
 
-    std::string serial_json;
-    std::string widest_json;
-    double serial_rate = 0.0;
-    double speedup_at_4 = 0.0;
-    std::vector<Run> runs;
+    std::string serial_json;  // the warm-up round's 1-thread report
+    bool identical = true;
+    const std::vector<benchkit::Timing> wall =
+        benchkit::interleave(thread_counts.size(), rounds, [&](std::size_t v) {
+            const double t0 = benchkit::wall_ms();
+            const fleet::CampaignResult result =
+                fleet::CampaignRunner(thread_counts[v]).run(sweep);
+            const double ms = benchkit::wall_ms() - t0;
+            const std::string json = fleet::CampaignReport::from(result).render_json();
+            if (serial_json.empty()) serial_json = json;
+            identical = identical && json == serial_json;
+            return ms;
+        });
 
-    Table table({"threads", "wall (s)", "scenarios/sec", "speedup vs 1"});
-    for (const int threads : thread_counts) {
-        const auto begin = std::chrono::steady_clock::now();
-        const fleet::CampaignResult result =
-            fleet::CampaignRunner(threads).run(sweep);
-        const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-                .count();
-
-        Run run;
-        run.threads = threads;
-        run.wall_s = seconds;
-        run.scenarios_per_s = static_cast<double>(sweep.size()) / seconds;
-        if (threads == 1) {
-            serial_rate = run.scenarios_per_s;
-            serial_json = fleet::CampaignReport::from(result).render_json();
-        }
-        run.speedup = serial_rate > 0.0 ? run.scenarios_per_s / serial_rate : 1.0;
-        if (threads == 4) speedup_at_4 = run.speedup;
-        if (threads == thread_counts.back())
-            widest_json = fleet::CampaignReport::from(result).render_json();
-        runs.push_back(run);
-        table.add_row({std::to_string(threads), Table::num(seconds, 3),
-                       Table::num(run.scenarios_per_s, 2),
-                       Table::num(run.speedup, 2) + "x"});
-    }
+    const auto speedup = [&](std::size_t v) { return wall[0].median / wall[v].median; };
+    benchkit::ReportTable& table =
+        report.table("threads", {{"threads", "threads"},
+                                 {"wall_ms", "wall (ms)", 1},
+                                 {"scenarios_per_s", "scenarios/sec", 2},
+                                 {"speedup_vs_1", "speedup vs 1", 2, "x"}});
+    for (std::size_t v = 0; v < thread_counts.size(); ++v)
+        table.row({thread_counts[v], wall[v],
+                   static_cast<double>(sweep.size()) / (wall[v].median * 1e-3),
+                   speedup(v)});
     std::cout << table.render();
     std::cout << "hardware concurrency: " << hw << " (speedup is bounded by "
               << "physical cores; 4-thread target >=1.5x needs >=2 cores)\n";
-    const bool identical = serial_json == widest_json;
     std::cout << "serial vs parallel report byte-identical: "
               << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
 
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"bench\": \"fleet_campaign\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"scenarios\": " << sweep.size() << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"threads\": [";
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        js << (i > 0 ? ", " : "") << "{\"threads\": " << runs[i].threads
-           << ", \"wall_s\": " << runs[i].wall_s
-           << ", \"scenarios_per_s\": " << runs[i].scenarios_per_s
-           << ", \"speedup_vs_1\": " << runs[i].speedup << "}";
-    js << "],\n"
-       << "  \"speedup_at_4_threads\": " << speedup_at_4 << ",\n"
-       << "  \"report_byte_identical\": " << (identical ? "true" : "false") << "\n"
-       << "}\n";
-    std::ofstream("BENCH_fleet_campaign.json") << js.str();
-    if (echo_json) std::cout << js.str();
-
-    if (!identical) {
-        std::cerr << "FAIL: parallel campaign report differs from the serial "
-                     "report\n";
-        return 1;
-    }
-    // Timing gates only run in full mode on multi-core hosts: smoke
-    // workloads are too small to time reliably on loaded CI machines (the
-    // determinism gate still holds).
-    if (!smoke && hw >= 2 && speedup_at_4 < 1.5) {
-        std::cerr << "FAIL: 4-thread speedup " << speedup_at_4
-                  << "x is below the 1.5x target on a " << hw << "-core host\n";
-        return 1;
-    }
-    return 0;
+    report.fact("scenarios", sweep.size());
+    report.fact("hardware_concurrency", hw);
+    report.check("report identity", identical);
+    // The timing gate needs a second core to mean anything, and smoke mode
+    // keeps it off so loaded CI machines do not decide it.
+    report.gate("4-thread speedup", speedup(2), benchkit::Op::AtLeast, 1.5,
+                !args.smoke && hw >= 2);
+    return report.finish();
 }

@@ -15,70 +15,32 @@
 // recurrence dominates the tick regardless of batching — so the achievable
 // speedup is bounded near the RNG floor and reported for context.
 //
-// Emits BENCH_frontend_stream.json next to the binary; --json mirrors it to
-// stdout. Exit status is non-zero on a parity violation or (full mode) a
-// noise-off speedup below the 3x target, so CI can run it as a check.
+// Each path runs interleaved with the others through the bench harness (one
+// warm-up round, then a fixed number of rounds, a fresh front end per run).
+// Throughput comes from the median processor time of the calling thread:
+// every path is single-threaded, and processor time does not count a shared
+// host running someone else.
+//
+// Emits BENCH_frontend_stream.json; --json echoes it. Exit status is
+// non-zero on a parity violation or (full mode) a noise-off speedup below
+// the 3x target.
 #include <algorithm>
-#include <chrono>
-#include <fstream>
+#include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "refpga/analog/frontend.hpp"
 #include "refpga/analog/sample_block.hpp"
-#include "refpga/common/table.hpp"
 
 namespace {
 
 using namespace refpga;
 
 constexpr std::uint64_t kSeed = 42;
-
-bool flag(int argc, char** argv, std::string_view name) {
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == name) return true;
-    return false;
-}
-
-double now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-struct Throughput {
-    std::string label;
-    double wall_ms = 0.0;
-    double pcm_per_s = 0.0;
-    int block_ticks = 0;  ///< 0 = reference path, 1 = per-sample API
-};
-
-/// One plant condition's full measurement set.
-struct Suite {
-    double noise_rms = 0.0;
-    Throughput reference;
-    Throughput api;
-    std::vector<Throughput> blocks;
-    bool parity_ok = true;
-
-    [[nodiscard]] const Throughput& best() const {
-        return *std::max_element(blocks.begin(), blocks.end(),
-                                 [](const Throughput& a, const Throughput& b) {
-                                     return a.pcm_per_s < b.pcm_per_s;
-                                 });
-    }
-    [[nodiscard]] double speedup_vs_reference() const {
-        return reference.pcm_per_s > 0.0 ? best().pcm_per_s / reference.pcm_per_s
-                                         : 0.0;
-    }
-    [[nodiscard]] double speedup_vs_api() const {
-        return api.pcm_per_s > 0.0 ? best().pcm_per_s / api.pcm_per_s : 0.0;
-    }
-};
+constexpr int kSmokeRounds = 3;
+constexpr int kFullRounds = 5;
 
 analog::FrontEnd make_frontend(double noise_rms) {
     analog::FrontEndConfig config;
@@ -88,200 +50,157 @@ analog::FrontEnd make_frontend(double noise_rms) {
     return frontend;
 }
 
-/// Streams `drive` through run(frontend, drive) and reports PCM pairs/s.
-template <typename Run>
-Throughput time_run(const std::string& label, int block_ticks, double noise_rms,
-                    const std::vector<std::uint8_t>& drive, std::size_t pcm_pairs,
-                    Run run) {
-    Throughput t;
-    t.label = label;
-    t.block_ticks = block_ticks;
-    {
-        analog::FrontEnd warm = make_frontend(noise_rms);  // page in code paths
-        run(warm, drive);
-    }
-    analog::FrontEnd frontend = make_frontend(noise_rms);
-    const double t0 = now_ms();
-    run(frontend, drive);
-    t.wall_ms = now_ms() - t0;
-    t.pcm_per_s =
-        t.wall_ms > 0.0 ? static_cast<double>(pcm_pairs) / (t.wall_ms * 1e-3) : 0.0;
-    return t;
-}
+using Drive = std::vector<std::uint8_t>;
 
-Suite run_suite(double noise_rms, const std::vector<std::uint8_t>& drive,
-                std::size_t pcm_pairs, const std::vector<int>& block_sizes) {
-    Suite suite;
-    suite.noise_rms = noise_rms;
+/// One way of streaming the drive through a front end.
+struct Path {
+    std::string label;
+    int block_ticks;  ///< 0 = reference path, 1 = per-sample API
+    std::function<void(analog::FrontEnd&, const Drive&)> run;
+};
 
+/// Times every path under one plant condition and renders its table.
+/// Returns the noise-off gate's quantity: best block throughput over the
+/// reference path's.
+double run_suite(benchkit::Report& report, const std::string& name, double noise_rms,
+                 const Drive& drive, std::size_t pcm_pairs,
+                 const std::vector<int>& block_sizes, int rounds, bool& parity_ok) {
     // Retained pre-streaming path (component-by-component steps): the
-    // baseline the refactor's speedup is measured against.
+    // baseline the refactor's speedup is measured against, and the PCM every
+    // block size must reproduce.
     analog::SampleBlock baseline_pcm;
-    suite.reference = time_run(
-        "per-sample (reference)", 0, noise_rms, drive, pcm_pairs,
-        [&baseline_pcm](analog::FrontEnd& fe, const std::vector<std::uint8_t>& d) {
-            baseline_pcm.clear_pcm();
-            baseline_pcm.reserve_pcm(d.size() / 5);
-            for (const std::uint8_t bit : d)
-                if (const auto pcm = fe.step_ds_bit_reference(bit != 0)) {
-                    baseline_pcm.meas.push_back(pcm->meas);
-                    baseline_pcm.ref.push_back(pcm->ref);
-                }
-        });
-
+    std::vector<Path> paths;
+    paths.push_back({"per-sample (reference)", 0,
+                     [&baseline_pcm](analog::FrontEnd& fe, const Drive& d) {
+                         baseline_pcm.clear_pcm();
+                         baseline_pcm.reserve_pcm(d.size() / 5);
+                         for (const std::uint8_t bit : d)
+                             if (const auto pcm = fe.step_ds_bit_reference(bit != 0)) {
+                                 baseline_pcm.meas.push_back(pcm->meas);
+                                 baseline_pcm.ref.push_back(pcm->ref);
+                             }
+                     }});
     // Per-sample public API: block-of-1 wrappers over the fused kernel.
-    suite.api = time_run(
-        "per-sample API (block of 1)", 1, noise_rms, drive, pcm_pairs,
-        [](analog::FrontEnd& fe, const std::vector<std::uint8_t>& d) {
-            std::int64_t sink = 0;
-            for (const std::uint8_t bit : d)
-                if (const auto pcm = fe.step_ds_bit(bit != 0))
-                    sink += pcm->meas + pcm->ref;
-            if (sink == 0x7fffffff) std::cout << "";  // keep the loop live
+    paths.push_back({"per-sample API (block of 1)", 1,
+                     [](analog::FrontEnd& fe, const Drive& d) {
+                         std::int64_t sink = 0;
+                         for (const std::uint8_t bit : d)
+                             if (const auto pcm = fe.step_ds_bit(bit != 0))
+                                 sink += pcm->meas + pcm->ref;
+                         if (sink == 0x7fffffff) std::cout << "";  // keep the loop live
+                     }});
+    // One output buffer per block size, kept across runs like the
+    // reference's, so no run pays for growing it.
+    std::vector<analog::SampleBlock> outs(block_sizes.size());
+    for (std::size_t i = 0; i < block_sizes.size(); ++i)
+        paths.push_back({"run_block " + std::to_string(block_sizes[i]), block_sizes[i],
+                         [bs = block_sizes[i], &out = outs[i]](analog::FrontEnd& fe,
+                                                               const Drive& d) {
+                             out.clear_pcm();
+                             out.reserve_pcm(d.size() / 5);
+                             for (std::size_t at = 0; at < d.size();) {
+                                 const std::size_t n = std::min<std::size_t>(
+                                     static_cast<std::size_t>(bs), d.size() - at);
+                                 fe.run_block_ds({d.data() + at, n}, out);
+                                 at += n;
+                             }
+                         }});
+
+    const std::vector<benchkit::Timing> cpu =
+        benchkit::interleave(paths.size(), rounds, [&](std::size_t v) {
+            analog::FrontEnd frontend = make_frontend(noise_rms);
+            const double t0 = benchkit::thread_cpu_ms();
+            paths[v].run(frontend, drive);
+            const double ms = benchkit::thread_cpu_ms() - t0;
+            // Block paths follow the reference in every round, so its PCM is
+            // this round's.
+            if (v >= 2 && (outs[v - 2].meas != baseline_pcm.meas ||
+                           outs[v - 2].ref != baseline_pcm.ref)) {
+                parity_ok = false;
+                std::cerr << "PARITY VIOLATION at block size " << paths[v].block_ticks
+                          << " (noise " << noise_rms << ")\n";
+            }
+            return ms;
         });
 
-    for (const int bs : block_sizes) {
-        analog::SampleBlock out;
-        suite.blocks.push_back(time_run(
-            "run_block " + std::to_string(bs), bs, noise_rms, drive, pcm_pairs,
-            [bs, &out](analog::FrontEnd& fe, const std::vector<std::uint8_t>& d) {
-                out.clear_pcm();
-                out.reserve_pcm(d.size() / 5);
-                for (std::size_t at = 0; at < d.size();) {
-                    const std::size_t n = std::min<std::size_t>(
-                        static_cast<std::size_t>(bs), d.size() - at);
-                    fe.run_block_ds({d.data() + at, n}, out);
-                    at += n;
-                }
-            }));
-        if (out.meas != baseline_pcm.meas || out.ref != baseline_pcm.ref) {
-            suite.parity_ok = false;
-            std::cerr << "PARITY VIOLATION at block size " << bs << " (noise "
-                      << noise_rms << ")\n";
-        }
+    const auto rate = [&](std::size_t v) {
+        return static_cast<double>(pcm_pairs) / (cpu[v].median * 1e-3);
+    };
+    std::cout << "tank noise " << noise_rms << " V rms:\n";
+    benchkit::ReportTable& table =
+        report.table(name, {{"path", "path"},
+                            {"block_ticks", "block ticks"},
+                            {"cpu_ms", "CPU (ms)", 1},
+                            {"pcm_per_s", "PCM pairs/s", 0},
+                            {"speedup", "speedup", 1, "x"}});
+    std::size_t best = 2;
+    for (std::size_t v = 0; v < paths.size(); ++v) {
+        table.row({paths[v].label, paths[v].block_ticks, cpu[v], rate(v),
+                   rate(v) / rate(0)});
+        if (v >= 2 && rate(v) > rate(best)) best = v;
     }
-    return suite;
-}
-
-/// Mean MeasurementSystem::run_cycle wall time at one stream_block_ticks.
-double cycle_ms(int stream_block_ticks, int cycles) {
-    app::SystemOptions options;
-    options.stream_block_ticks = stream_block_ticks;
-    app::MeasurementSystem system(options, 11);
-    system.set_true_level(0.5);
-    (void)system.run_cycle();  // warm-up: first cycle grows the block buffers
-    const double t0 = now_ms();
-    for (int c = 0; c < cycles; ++c) (void)system.run_cycle();
-    return (now_ms() - t0) / cycles;
-}
-
-void print_suite(const Suite& suite) {
-    std::cout << "tank noise " << suite.noise_rms << " V rms:\n";
-    Table table({"path", "wall (ms)", "PCM pairs/s", "speedup"});
-    table.add_row({suite.reference.label, Table::num(suite.reference.wall_ms, 1),
-                   Table::num(suite.reference.pcm_per_s, 0), "1.0x"});
-    table.add_row({suite.api.label, Table::num(suite.api.wall_ms, 1),
-                   Table::num(suite.api.pcm_per_s, 0),
-                   Table::num(suite.api.pcm_per_s / suite.reference.pcm_per_s, 1) +
-                       "x"});
-    for (const Throughput& t : suite.blocks)
-        table.add_row({t.label, Table::num(t.wall_ms, 1), Table::num(t.pcm_per_s, 0),
-                       Table::num(t.pcm_per_s / suite.reference.pcm_per_s, 1) + "x"});
     std::cout << table.render();
-}
-
-void json_suite(std::ostringstream& js, const Suite& suite) {
-    js << "{\"noise_rms_v\": " << suite.noise_rms
-       << ", \"reference\": {\"wall_ms\": " << suite.reference.wall_ms
-       << ", \"pcm_per_s\": " << suite.reference.pcm_per_s
-       << "}, \"per_sample_api\": {\"wall_ms\": " << suite.api.wall_ms
-       << ", \"pcm_per_s\": " << suite.api.pcm_per_s << "}, \"blocks\": [";
-    for (std::size_t i = 0; i < suite.blocks.size(); ++i)
-        js << (i > 0 ? ", " : "") << "{\"block_ticks\": " << suite.blocks[i].block_ticks
-           << ", \"wall_ms\": " << suite.blocks[i].wall_ms
-           << ", \"pcm_per_s\": " << suite.blocks[i].pcm_per_s << "}";
-    js << "], \"best_block_ticks\": " << suite.best().block_ticks
-       << ", \"speedup_vs_reference\": " << suite.speedup_vs_reference()
-       << ", \"speedup_vs_per_sample_api\": " << suite.speedup_vs_api()
-       << ", \"parity_ok\": " << (suite.parity_ok ? "true" : "false") << "}";
+    report.fact(name + "_best_block_ticks", paths[best].block_ticks);
+    return rate(best) / rate(0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    const bool smoke = benchkit::smoke_mode(argc, argv);
-    const bool echo_json = flag(argc, argv, "--json");
+    const benchkit::Args args(argc, argv);
+    const int rounds = args.smoke ? kSmokeRounds : kFullRounds;
+    benchkit::Report report("frontend_stream", args, rounds);
     benchkit::print_header("frontend stream",
                            std::string("block pipeline vs per-sample path") +
-                               (smoke ? " [smoke]" : ""));
+                               (args.smoke ? " [smoke]" : ""));
 
     // The drive is the real sinus generator's delta-sigma bit stream — the
     // same stimulus run_cycle feeds the front end (Fig. 4 sample window).
-    const std::size_t ticks = smoke ? 200'000 : 8'000'000;
-    std::vector<std::uint8_t> drive(ticks);
+    const std::size_t ticks = args.smoke ? 200'000 : 8'000'000;
+    Drive drive(ticks);
     app::SinusGenModel sinusgen{app::AppParams{}};
     sinusgen.run_block_bits(ticks, drive.data());
     const std::size_t pcm_pairs =
         ticks / static_cast<std::size_t>(analog::FrontEndConfig{}.adc_decimation);
+    report.fact("modulator_ticks", ticks);
+    report.fact("pcm_pairs", pcm_pairs);
 
     const std::vector<int> block_sizes = {16, 64, 256, 1024, 4096};
-    const Suite quiet = run_suite(0.0, drive, pcm_pairs, block_sizes);
-    const Suite noisy = run_suite(1e-3, drive, pcm_pairs, block_sizes);
-    print_suite(quiet);
-    print_suite(noisy);
+    bool parity_ok = true;
+    const double quiet = run_suite(report, "noise_off", 0.0, drive, pcm_pairs, block_sizes,
+                                   rounds, parity_ok);
+    const double noisy = run_suite(report, "noise_on", 1e-3, drive, pcm_pairs, block_sizes,
+                                   rounds, parity_ok);
 
     // End-to-end cycle latency (sampling + processing + reconfig) vs block
-    // size — what a fleet campaign actually pays per cycle.
-    const int cycles = smoke ? 3 : 20;
+    // size — what a fleet campaign actually pays per cycle. Each run builds
+    // a system and runs one untimed cycle (it grows the block buffers).
+    const int cycles = args.smoke ? 3 : 20;
     const std::vector<int> cycle_settings = {0, 1, 256, 4096};
-    std::vector<double> cycle_wall_ms;
-    Table cycle_table({"stream_block_ticks", "cycle wall (ms)"});
-    for (const int setting : cycle_settings) {
-        cycle_wall_ms.push_back(cycle_ms(setting, cycles));
-        cycle_table.add_row({setting == 0 ? "0 (reference)" : std::to_string(setting),
-                             Table::num(cycle_wall_ms.back(), 2)});
-    }
+    const std::vector<benchkit::Timing> cycle_cpu =
+        benchkit::interleave(cycle_settings.size(), rounds, [&](std::size_t v) {
+            app::SystemOptions options;
+            options.stream_block_ticks = cycle_settings[v];
+            app::MeasurementSystem system(options, 11);
+            system.set_true_level(0.5);
+            (void)system.run_cycle();
+            const double t0 = benchkit::thread_cpu_ms();
+            for (int c = 0; c < cycles; ++c) (void)system.run_cycle();
+            return (benchkit::thread_cpu_ms() - t0) / cycles;
+        });
+    benchkit::ReportTable& cycle_table = report.table(
+        "cycle_latency", {{"stream_block_ticks", "stream_block_ticks (0 = reference)"},
+                          {"cycle_cpu_ms", "cycle CPU (ms)", 2}});
+    for (std::size_t v = 0; v < cycle_settings.size(); ++v)
+        cycle_table.row({cycle_settings[v], cycle_cpu[v]});
     std::cout << cycle_table.render();
-    std::cout << "noise-off: " << Table::num(quiet.speedup_vs_reference(), 2)
-              << "x vs per-sample reference (best " << quiet.best().label << ", "
-              << Table::num(quiet.best().pcm_per_s * 1e-6, 2) << " M pairs/s)\n";
-    std::cout << "noise-on:  " << Table::num(noisy.speedup_vs_reference(), 2)
+    std::cout << "noise-off: " << Table::num(quiet, 2) << "x vs per-sample reference\n";
+    std::cout << "noise-on:  " << Table::num(noisy, 2)
               << "x vs per-sample reference (RNG-bound; draw order preserved)\n";
-    std::cout << "PCM bit-identical across all block sizes: "
-              << (quiet.parity_ok && noisy.parity_ok ? "yes" : "NO") << "\n";
+    std::cout << "PCM bit-identical across all block sizes: " << (parity_ok ? "yes" : "NO")
+              << "\n";
 
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"bench\": \"frontend_stream\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"modulator_ticks\": " << ticks << ",\n"
-       << "  \"pcm_pairs\": " << pcm_pairs << ",\n"
-       << "  \"noise_off\": ";
-    json_suite(js, quiet);
-    js << ",\n  \"noise_on\": ";
-    json_suite(js, noisy);
-    js << ",\n  \"cycle_latency_ms\": [";
-    for (std::size_t i = 0; i < cycle_settings.size(); ++i)
-        js << (i > 0 ? ", " : "") << "{\"stream_block_ticks\": " << cycle_settings[i]
-           << ", \"wall_ms\": " << cycle_wall_ms[i] << "}";
-    js << "],\n"
-       << "  \"speedup_sample_window\": " << quiet.speedup_vs_reference() << ",\n"
-       << "  \"parity_ok\": "
-       << (quiet.parity_ok && noisy.parity_ok ? "true" : "false") << "\n"
-       << "}\n";
-    std::ofstream("BENCH_frontend_stream.json") << js.str();
-    if (echo_json) std::cout << js.str();
-
-    if (!quiet.parity_ok || !noisy.parity_ok) {
-        std::cerr << "FAIL: streamed PCM differs from the per-sample path\n";
-        return 1;
-    }
-    // Timing gates only run in full mode: smoke workloads are too small to
-    // time reliably on loaded CI machines (the parity gate still holds).
-    if (!smoke && quiet.speedup_vs_reference() < 3.0) {
-        std::cerr << "FAIL: noise-off fused-kernel speedup "
-                  << quiet.speedup_vs_reference() << "x is below the 3x target\n";
-        return 1;
-    }
-    return 0;
+    report.check("PCM parity", parity_ok);
+    report.gate("noise-off speedup", quiet, benchkit::Op::AtLeast, 3.0, !args.smoke);
+    return report.finish();
 }

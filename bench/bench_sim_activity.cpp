@@ -12,63 +12,40 @@
 // dumps between the engines (the dual-engine contract of sim/engine.hpp).
 //
 // A second table times the §4.3 activity stage itself: app::system_activity
-// on the Table-2 system netlist for {cycle, event} x {counters, via VCD},
-// repetitions interleaved so host drift hits every variant alike, median
-// thread processor time reported. All four must return the bit-identical
-// ActivityMap.
+// on the Table-2 system netlist for {cycle, event} x {counters, via VCD}.
+// All four must return the bit-identical ActivityMap.
 //
-// Emits BENCH_sim_activity.json next to the binary; --json mirrors it to
-// stdout. Exit status is non-zero on any parity violation (both modes) or,
-// in full mode, when the headline-config speedup falls below the 10x target
-// or the event engine's VCD round trip takes more than 1.5x its counter
-// path (smoke workloads are too small to time reliably on loaded CI
-// machines).
-#include <algorithm>
-#include <chrono>
-#include <ctime>
-#include <fstream>
+// Both tables run their variants interleaved through the bench harness (one
+// warm-up round, then a fixed number of rounds) and report the median processor time
+// of the calling thread: every stage here is single-threaded, and processor
+// time does not count a shared host running someone else.
+//
+// Emits BENCH_sim_activity.json; --json echoes it. Exit status is non-zero
+// on any parity violation (both modes) or, in full mode, when the
+// headline-config speedup falls below the 10x target or the event engine's
+// VCD round trip takes more than 1.5x its counter path (smoke workloads are
+// too small to time reliably on loaded CI machines).
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "refpga/app/activity.hpp"
 #include "refpga/app/system.hpp"
 #include "refpga/common/rng.hpp"
-#include "refpga/common/table.hpp"
-#include "refpga/sim/event_sim.hpp"
+#include "refpga/sim/engine.hpp"
 #include "refpga/sim/random_netlist.hpp"
-#include "refpga/sim/simulator.hpp"
 #include "refpga/sim/vcd.hpp"
 
 namespace {
 
 using namespace refpga;
 
-bool flag(int argc, char** argv, std::string_view name) {
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == name) return true;
-    return false;
-}
-
-double now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/// Processor time of the calling thread: the activity stage is
-/// single-threaded, and unlike wall time this does not count the time a
-/// shared host spends running someone else.
-double thread_cpu_ms() {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
-}
-
 constexpr double kTable2ClockHz = 50e6;
+constexpr int kSmokeRounds = 3;
+constexpr int kFullRounds = 5;
 
 struct Config {
     int channels;
@@ -77,33 +54,20 @@ struct Config {
     int cycles;
 };
 
-struct Result {
-    Config config;
-    std::size_t cells = 0;
-    double cycle_ms = 0.0;
-    double event_ms = 0.0;
-    double toggles_per_cycle = 0.0;
-    bool parity_ok = true;  ///< toggle counts + final state + probe
-    bool vcd_ok = true;     ///< byte-identical dumps
-
-    [[nodiscard]] double speedup() const {
-        return event_ms > 0.0 ? cycle_ms / event_ms : 0.0;
-    }
-};
-
 /// The shared stimulus program: mostly-idle input with an occasional new
 /// "stim" word, driven identically into whichever engine runs. Returns the
-/// run's wall time; the engine keeps its toggle/state tallies for parity.
+/// run's processor time; the engine keeps its toggle/state tallies for
+/// parity.
 double drive(sim::SimEngine& sim, int cycles, std::uint64_t seed,
              std::uint64_t stim_mask) {
     Rng rng(seed);
     sim.set_input("stim", 0x2A5 & stim_mask);
-    const double t0 = now_ms();
+    const double t0 = benchkit::thread_cpu_ms();
     for (int t = 1; t <= cycles; ++t) {
         if (t % 97 == 0) sim.set_input("stim", rng.next_u64() & stim_mask);
         sim.tick();
     }
-    return now_ms() - t0;
+    return benchkit::thread_cpu_ms() - t0;
 }
 
 /// Byte-compares full-netlist VCD dumps from both engines over a short run
@@ -133,214 +97,140 @@ bool vcd_bytes_identical(const netlist::Netlist& nl, int cycles,
     return dumps[0] == dumps[1];
 }
 
-Result run_config(const Config& config, int vcd_cycles) {
-    Result r;
-    r.config = config;
+/// Times both engines on one config (variant 0 cycle, 1 event), checks
+/// every round's pair for parity, adds the table row and returns the
+/// speedup.
+double run_config(benchkit::ReportTable& table, const Config& config, int vcd_cycles,
+                  int rounds, bool& parity_ok) {
     const netlist::Netlist nl =
         sim::gated_channel_netlist(config.channels, config.width, config.depth);
-    r.cells = nl.cell_count();
     const std::uint64_t stim_mask = (std::uint64_t{1} << config.width) - 1;
 
-    sim::Simulator cycle(nl);
-    sim::EventSimulator event(nl);
-    {  // warm both code paths before timing
-        sim::Simulator w1(nl);
-        sim::EventSimulator w2(nl);
-        (void)drive(w1, 16, 1, stim_mask);
-        (void)drive(w2, 16, 1, stim_mask);
-    }
-    r.cycle_ms = drive(cycle, config.cycles, 2008, stim_mask);
-    r.event_ms = drive(event, config.cycles, 2008, stim_mask);
-
-    // Parity gate: the speedup row is meaningless unless the engines agree
-    // bit for bit on what they simulated.
-    std::int64_t total = 0;
-    for (const std::int64_t t : cycle.toggle_counts()) total += t;
-    r.toggles_per_cycle = static_cast<double>(total) / config.cycles;
-    r.parity_ok = cycle.toggle_counts() == event.toggle_counts() &&
-                  cycle.get_port("probe") == event.get_port("probe");
-    for (std::uint32_t i = 0; r.parity_ok && i < nl.net_count(); ++i)
-        r.parity_ok = cycle.net_value(netlist::NetId{i}) ==
-                      event.net_value(netlist::NetId{i});
-    r.vcd_ok = vcd_bytes_identical(nl, vcd_cycles, stim_mask);
-    if (!r.parity_ok || !r.vcd_ok)
+    std::unique_ptr<sim::SimEngine> cycle;  // this round's cycle-engine run
+    double toggles_per_cycle = 0.0;
+    bool row_ok = true;
+    const std::vector<benchkit::Timing> cpu =
+        benchkit::interleave(2, rounds, [&](std::size_t v) {
+            auto engine = sim::make_engine(
+                v == 0 ? sim::EngineKind::Cycle : sim::EngineKind::Event, nl);
+            const double ms = drive(*engine, config.cycles, 2008, stim_mask);
+            if (v == 0) {
+                cycle = std::move(engine);
+                return ms;
+            }
+            // The speedup row is meaningless unless the engines agree bit for
+            // bit on what they simulated.
+            std::int64_t total = 0;
+            for (const std::int64_t t : cycle->toggle_counts()) total += t;
+            toggles_per_cycle = static_cast<double>(total) / config.cycles;
+            row_ok = row_ok && cycle->toggle_counts() == engine->toggle_counts() &&
+                     cycle->get_port("probe") == engine->get_port("probe");
+            for (std::uint32_t i = 0; row_ok && i < nl.net_count(); ++i)
+                row_ok = cycle->net_value(netlist::NetId{i}) ==
+                         engine->net_value(netlist::NetId{i});
+            return ms;
+        });
+    const bool vcd_ok = vcd_bytes_identical(nl, vcd_cycles, stim_mask);
+    if (!row_ok || !vcd_ok)
         std::cerr << "PARITY VIOLATION at channels=" << config.channels
                   << " width=" << config.width << " depth=" << config.depth
-                  << (r.vcd_ok ? "" : " (VCD bytes)") << "\n";
-    return r;
-}
+                  << (vcd_ok ? "" : " (VCD bytes)") << "\n";
+    parity_ok = parity_ok && row_ok && vcd_ok;
 
-/// One variant of the Table-2 activity stage.
-struct StageRow {
-    sim::EngineKind engine;
-    bool via_vcd;
-    std::vector<double> ms;
-
-    [[nodiscard]] double median() const {
-        std::vector<double> sorted = ms;
-        std::sort(sorted.begin(), sorted.end());
-        return sorted[sorted.size() / 2];
-    }
-};
-
-struct StageResult {
-    std::size_t nets = 0;
-    int cycles = 0;
-    int reps = 0;
-    std::vector<StageRow> rows;  ///< {cycle, event} x {counters, via VCD}, in order
-    bool maps_identical = true;
-
-    /// The ROADMAP gate: the event engine's VCD round trip over its counters.
-    [[nodiscard]] double vcd_over_counters() const {
-        return rows[3].median() / rows[2].median();
-    }
-};
-
-StageResult run_table2_stage(int cycles, int reps) {
-    StageResult r;
-    const app::SystemNetlist sys = app::build_system_netlist();
-    r.nets = sys.nl.net_count();
-    r.cycles = cycles;
-    r.reps = reps;
-    for (const sim::EngineKind engine : {sim::EngineKind::Cycle, sim::EngineKind::Event})
-        for (const bool via_vcd : {false, true}) r.rows.push_back({engine, via_vcd, {}});
-
-    std::vector<double> reference;
-    for (int rep = -1; rep < reps; ++rep) {  // rep -1 warms up, untimed
-        for (StageRow& row : r.rows) {
-            app::ActivityOptions opts;
-            opts.engine = row.engine;
-            opts.via_vcd = row.via_vcd;
-            opts.cycles = cycles;
-            const double t0 = thread_cpu_ms();
-            const sim::ActivityMap map = app::system_activity(sys.nl, kTable2ClockHz, opts);
-            const double ms = thread_cpu_ms() - t0;
-            if (rep >= 0) row.ms.push_back(ms);
-            std::vector<double> rates(map.size());
-            for (std::uint32_t i = 0; i < map.size(); ++i)
-                rates[i] = map.rate_hz(netlist::NetId{i});
-            if (reference.empty()) reference = rates;
-            r.maps_identical = r.maps_identical && rates == reference;
-        }
-    }
-    return r;
+    const double speedup = cpu[0].median / cpu[1].median;
+    table.row({config.channels, config.width, config.depth, nl.cell_count(), config.cycles,
+               cpu[0], cpu[1], speedup, toggles_per_cycle,
+               toggles_per_cycle / static_cast<double>(nl.cell_count())});
+    return speedup;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    const bool smoke = benchkit::smoke_mode(argc, argv);
-    const bool echo_json = flag(argc, argv, "--json");
+    const benchkit::Args args(argc, argv);
+    const int rounds = args.smoke ? kSmokeRounds : kFullRounds;
+    benchkit::Report report("sim_activity", args, rounds);
     benchkit::print_header("sim activity",
                            std::string("event-driven vs cycle engine") +
-                               (smoke ? " [smoke]" : ""));
+                               (args.smoke ? " [smoke]" : ""));
 
     // The last config is the headline: large fabric, low activity factor.
     const std::vector<Config> configs =
-        smoke ? std::vector<Config>{{64, 8, 2, 400}, {128, 12, 4, 200}}
-              : std::vector<Config>{
-                    {64, 8, 2, 20000}, {128, 12, 4, 8000}, {256, 12, 4, 8000}};
-    const int vcd_cycles = smoke ? 48 : 192;
+        args.smoke ? std::vector<Config>{{64, 8, 2, 400}, {128, 12, 4, 200}}
+                   : std::vector<Config>{
+                         {64, 8, 2, 20000}, {128, 12, 4, 8000}, {256, 12, 4, 8000}};
+    const int vcd_cycles = args.smoke ? 48 : 192;
 
-    std::vector<Result> results;
-    results.reserve(configs.size());
-    for (const Config& config : configs)
-        results.push_back(run_config(config, vcd_cycles));
-    const Result& headline = results.back();
-
-    Table table({"channels", "width", "depth", "cells", "cycles", "cycle (ms)",
-                 "event (ms)", "speedup", "toggles/cycle"});
-    for (const Result& r : results)
-        table.add_row({std::to_string(r.config.channels),
-                       std::to_string(r.config.width),
-                       std::to_string(r.config.depth), std::to_string(r.cells),
-                       std::to_string(r.config.cycles), Table::num(r.cycle_ms, 1),
-                       Table::num(r.event_ms, 1), Table::num(r.speedup(), 1) + "x",
-                       Table::num(r.toggles_per_cycle, 1)});
-    std::cout << table.render();
-
+    benchkit::ReportTable& table =
+        report.table("configs", {{"channels", "channels"},
+                                 {"width", "width"},
+                                 {"depth", "depth"},
+                                 {"cells", "cells"},
+                                 {"cycles", "cycles"},
+                                 {"cycle_cpu_ms", "cycle CPU (ms)", 1},
+                                 {"event_cpu_ms", "event CPU (ms)", 1},
+                                 {"speedup", "speedup", 1, "x"},
+                                 {"toggles_per_cycle", "toggles/cycle", 1},
+                                 {"activity_factor", "toggles/cell/cycle", 3}});
     bool parity_ok = true;
-    for (const Result& r : results) parity_ok = parity_ok && r.parity_ok && r.vcd_ok;
-    std::cout << "headline: " << Table::num(headline.speedup(), 1) << "x on "
-              << headline.cells << " cells (activity factor "
-              << Table::num(headline.toggles_per_cycle /
-                                static_cast<double>(headline.cells),
-                            3)
-              << " toggles/cell/cycle)\n";
+    double headline = 0.0;
+    for (const Config& config : configs)
+        headline = run_config(table, config, vcd_cycles, rounds, parity_ok);
+    std::cout << table.render();
     std::cout << "engines bit-identical (toggles, state, VCD bytes): "
               << (parity_ok ? "yes" : "NO") << "\n";
 
-    const StageResult stage = run_table2_stage(smoke ? 64 : 256, smoke ? 1 : 15);
-    Table stage_table({"engine", "path", "median CPU (ms)"});
-    for (const StageRow& row : stage.rows)
-        stage_table.add_row({sim::engine_kind_name(row.engine),
-                             row.via_vcd ? "via VCD" : "counters",
-                             Table::num(row.median(), 1)});
-    std::cout << "\nTable-2 activity stage: system_activity on " << stage.nets
-              << " nets, " << stage.cycles << " cycles, median of " << stage.reps
-              << "\n"
+    // The §4.3 activity stage on the Table-2 netlist.
+    const app::SystemNetlist sys = app::build_system_netlist();
+    const int stage_cycles = args.smoke ? 64 : 256;
+    struct Variant {
+        sim::EngineKind engine;
+        bool via_vcd;
+    };
+    const std::vector<Variant> variants = {{sim::EngineKind::Cycle, false},
+                                           {sim::EngineKind::Cycle, true},
+                                           {sim::EngineKind::Event, false},
+                                           {sim::EngineKind::Event, true}};
+    std::vector<double> reference;
+    bool maps_identical = true;
+    const std::vector<benchkit::Timing> stage =
+        benchkit::interleave(variants.size(), rounds, [&](std::size_t v) {
+            app::ActivityOptions opts;
+            opts.engine = variants[v].engine;
+            opts.via_vcd = variants[v].via_vcd;
+            opts.cycles = stage_cycles;
+            const double t0 = benchkit::thread_cpu_ms();
+            const sim::ActivityMap map = app::system_activity(sys.nl, kTable2ClockHz, opts);
+            const double ms = benchkit::thread_cpu_ms() - t0;
+            std::vector<double> rates(map.size());
+            for (std::uint32_t i = 0; i < map.size(); ++i)
+                rates[i] = map.rate_hz(netlist::NetId{i});
+            if (reference.empty()) reference = rates;
+            maps_identical = maps_identical && rates == reference;
+            return ms;
+        });
+    benchkit::ReportTable& stage_table =
+        report.table("table2_activity", {{"engine", "engine"},
+                                         {"path", "path"},
+                                         {"cpu_ms", "median CPU (ms)", 1}});
+    for (std::size_t v = 0; v < variants.size(); ++v)
+        stage_table.row({std::string(sim::engine_kind_name(variants[v].engine)),
+                         variants[v].via_vcd ? "via VCD" : "counters", stage[v]});
+    const double vcd_over_counters = stage[3].median / stage[2].median;
+    std::cout << "\nTable-2 activity stage: system_activity on " << sys.nl.net_count()
+              << " nets, " << stage_cycles << " cycles\n"
               << stage_table.render();
-    std::cout << "event engine, via VCD / counters: "
-              << Table::num(stage.vcd_over_counters(), 2) << "x\n";
+    std::cout << "event engine, via VCD / counters: " << Table::num(vcd_over_counters, 2)
+              << "x\n";
     std::cout << "ActivityMap bit-identical across engines and paths: "
-              << (stage.maps_identical ? "yes" : "NO") << "\n";
+              << (maps_identical ? "yes" : "NO") << "\n";
 
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"bench\": \"sim_activity\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"configs\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result& r = results[i];
-        js << (i > 0 ? ", " : "") << "{\"channels\": " << r.config.channels
-           << ", \"width\": " << r.config.width << ", \"depth\": " << r.config.depth
-           << ", \"cells\": " << r.cells << ", \"cycles\": " << r.config.cycles
-           << ", \"cycle_ms\": " << r.cycle_ms << ", \"event_ms\": " << r.event_ms
-           << ", \"speedup\": " << r.speedup()
-           << ", \"toggles_per_cycle\": " << r.toggles_per_cycle
-           << ", \"parity_ok\": " << (r.parity_ok ? "true" : "false")
-           << ", \"vcd_ok\": " << (r.vcd_ok ? "true" : "false") << "}";
-    }
-    js << "],\n"
-       << "  \"headline_speedup\": " << headline.speedup() << ",\n"
-       << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << ",\n"
-       << "  \"table2_activity\": {\"nets\": " << stage.nets
-       << ", \"cycles\": " << stage.cycles << ", \"reps\": " << stage.reps
-       << ", \"rows\": [";
-    for (std::size_t i = 0; i < stage.rows.size(); ++i) {
-        const StageRow& row = stage.rows[i];
-        js << (i > 0 ? ", " : "") << "{\"engine\": \"" << sim::engine_kind_name(row.engine)
-           << "\", \"path\": \"" << (row.via_vcd ? "vcd" : "counters")
-           << "\", \"median_cpu_ms\": " << row.median() << "}";
-    }
-    js << "], \"event_vcd_over_counters\": " << stage.vcd_over_counters()
-       << ", \"maps_identical\": " << (stage.maps_identical ? "true" : "false")
-       << "}\n"
-       << "}\n";
-    std::ofstream("BENCH_sim_activity.json") << js.str();
-    if (echo_json) std::cout << js.str();
-
-    if (!parity_ok) {
-        std::cerr << "FAIL: the engines disagree — the event engine may not "
-                     "be used for activity extraction\n";
-        return 1;
-    }
-    if (!stage.maps_identical) {
-        std::cerr << "FAIL: system_activity gives different ActivityMaps across "
-                     "engines or between the counter and VCD paths\n";
-        return 1;
-    }
-    // Timing gate only in full mode; the parity gate above runs in both.
-    if (!smoke && headline.speedup() < 10.0) {
-        std::cerr << "FAIL: headline event-engine speedup "
-                  << headline.speedup() << "x is below the 10x target\n";
-        return 1;
-    }
-    if (!smoke && stage.vcd_over_counters() > 1.5) {
-        std::cerr << "FAIL: the event engine's VCD round trip takes "
-                  << stage.vcd_over_counters()
-                  << "x its counter path, above the 1.5x target\n";
-        return 1;
-    }
-    return 0;
+    report.fact("table2_nets", sys.nl.net_count());
+    report.fact("table2_cycles", stage_cycles);
+    report.check("engine parity", parity_ok);
+    report.check("ActivityMap identity", maps_identical);
+    report.gate("headline speedup", headline, benchkit::Op::AtLeast, 10.0, !args.smoke);
+    report.gate("event via-VCD / counters", vcd_over_counters, benchkit::Op::AtMost, 1.5,
+                !args.smoke);
+    return report.finish();
 }

@@ -116,7 +116,7 @@ BENCHMARK(BM_Reallocate8Nets)->Unit(benchmark::kMillisecond)->Iterations(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-    const bool smoke = benchkit::smoke_mode(argc, argv);
+    const bool smoke = benchkit::Args(argc, argv).smoke;
     print_table2(smoke);
     if (smoke) return 0;  // scaled-down end-to-end pass for CI
     print_placement_ablation();
