@@ -12,10 +12,16 @@
 //
 // Two engines implement one set of semantics:
 //   * Incremental (default): precomputed slice<->net adjacency (ReallocIndex
-//     over netlist::CellNetIndex), scratch-route delta costing (no
+//     over netlist::CellNetIndex), scratch-route trial costing (no
 //     occupy/undo churn on the live grid), cached per-net power
 //     (NetPowerCache), and deterministic parallel candidate evaluation over
-//     a ThreadPool.
+//     a ThreadPool. Per slice, one full trial at the slice's own site gives
+//     the cost before any move and a connection-level record; each
+//     candidate then re-routes only the connections the move can change
+//     (those touching the moved slice, and those whose L-path crosses a
+//     tile the move turns full or free) and copies the rest from the record
+//     (RoutedDesign::trial_candidate). Its per-net capacitances are bitwise
+//     those of a full re-route, so no decision changes.
 //   * Reference: the retained naive path — per-call set builders, per-
 //     candidate live re-route and undo, per-candidate baseline
 //     recomputation — with byte-identical reports. It exists so tests and
@@ -69,10 +75,14 @@ struct ReallocateOptions {
     /// moves_rejected,timing_analyses}_total and observes the pass wall
     /// time. timing_analyses counts every full analyze_timing call: the
     /// initial and final ones and one gate check per chosen move, so it
-    /// equals 2 + moves_committed + moves_rejected.
-    /// Counters are recorded from the calling thread only, so candidate
-    /// evaluation workers stay untouched; reports remain byte-identical
-    /// whether or not a recorder is attached. Non-owning.
+    /// equals 2 + moves_committed + moves_rejected. The Incremental engine
+    /// also counts realloc.trial_connections_total (connections walked by
+    /// candidate trials) and realloc.trial_connections_rerouted_total (those
+    /// re-routed rather than reused).
+    /// Counters are recorded from the calling thread only: workers tally in
+    /// their own RouteScratch, summed after each candidate batch; reports
+    /// remain byte-identical whether or not a recorder is attached.
+    /// Non-owning.
     obs::Recorder* recorder = nullptr;
 };
 

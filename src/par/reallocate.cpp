@@ -253,6 +253,8 @@ public:
             obs_commits_ = m.counter("realloc.moves_committed_total");
             obs_rejects_ = m.counter("realloc.moves_rejected_total");
             obs_analyses_ = m.counter("realloc.timing_analyses_total");
+            obs_trial_connections_ = m.counter("realloc.trial_connections_total");
+            obs_trial_rerouted_ = m.counter("realloc.trial_connections_rerouted_total");
             obs_pass_wall_ = m.histogram(
                 "realloc.pass_wall_seconds",
                 {1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0});
@@ -266,10 +268,9 @@ private:
     void optimize_net(NetId net, NetPowerChange& change);
     void optimize_slice(SliceId slice, const SliceCoord& centroid,
                         std::span<const NetId> affected, NetPowerChange& change);
-    [[nodiscard]] double trial_cost(std::span<const NetId> affected, SliceId slice,
-                                    const SliceCoord& pos,
-                                    RouteScratch& scratch) const;
-    void evaluate_candidates(std::span<const NetId> affected, SliceId slice,
+    [[nodiscard]] double trial_power(std::span<const NetId> affected,
+                                     std::span<const double> capacitance_pf) const;
+    void evaluate_candidates(std::span<const NetId> affected,
                              std::span<const SliceCoord> targets,
                              std::span<const std::size_t> groups, double cost_before,
                              std::vector<double>& gains);
@@ -291,11 +292,13 @@ private:
 
     std::optional<ThreadPool> pool_;
     std::vector<RouteScratch> scratches_;  ///< one per evaluation worker
+    TrialReference reference_;             ///< the slice's trial at its own site
 
     // Observability (counters bumped from the calling thread only).
     obs::Recorder* rec_;
     obs::MetricId obs_passes_, obs_nets_, obs_candidates_, obs_commits_,
-        obs_rejects_, obs_analyses_, obs_pass_wall_;
+        obs_rejects_, obs_analyses_, obs_trial_connections_, obs_trial_rerouted_,
+        obs_pass_wall_;
 
     void obs_add(obs::MetricId id, double delta = 1.0) {
         if (rec_ != nullptr && rec_->enabled()) rec_->metrics().add(id, delta);
@@ -386,7 +389,11 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     double best_gain = 0.0;
     std::size_t best = targets.size();
     if (inc_) {
-        const double cost_before = trial_cost(affected, slice, original, scratches_[0]);
+        // The trial at the original site gives cost_before and the record
+        // every candidate trial reuses unchanged connections from.
+        routed_.trial_reference(affected, slice, original, RouteMode::LowPower,
+                                reference_, scratches_[0]);
+        const double cost_before = trial_power(affected, reference_.net_capacitance_pf());
         // Slice sites within one CLB share the tile coordinate and routing
         // never reads the intra-CLB index, so their gains are bitwise equal.
         // Evaluate one representative per tile: under the strict-improvement
@@ -400,7 +407,7 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
                 groups.push_back(i);
         std::vector<double> gains(groups.size(), 0.0);
         obs_add(obs_candidates_, static_cast<double>(groups.size()));
-        evaluate_candidates(affected, slice, targets, groups, cost_before, gains);
+        evaluate_candidates(affected, targets, groups, cost_before, gains);
         for (std::size_t g = 0; g < groups.size(); ++g) {
             if (gains[g] > best_gain) {
                 best_gain = gains[g];
@@ -457,46 +464,48 @@ void Engine::optimize_slice(SliceId slice, const SliceCoord& centroid,
     }
 }
 
-double Engine::trial_cost(std::span<const NetId> affected, SliceId slice,
-                          const SliceCoord& pos, RouteScratch& scratch) const {
-    scratch.clear();
+double Engine::trial_power(std::span<const NetId> affected,
+                           std::span<const double> capacitance_pf) const {
     double cost = 0.0;
-    for (const NetId a : affected)
-        cost += switch_power_uw(
-            routed_.trial_route_capacitance_pf(a, slice, pos, RouteMode::LowPower,
-                                               scratch),
-            activity_.rate_hz(a), options_.vdd);
+    for (std::size_t i = 0; i < affected.size(); ++i)
+        cost += switch_power_uw(capacitance_pf[i], activity_.rate_hz(affected[i]),
+                                options_.vdd);
     return cost;
 }
 
-void Engine::evaluate_candidates(std::span<const NetId> affected, SliceId slice,
+void Engine::evaluate_candidates(std::span<const NetId> affected,
                                  std::span<const SliceCoord> targets,
                                  std::span<const std::size_t> groups,
                                  double cost_before, std::vector<double>& gains) {
     const std::size_t count = groups.size();
     const std::size_t workers = scratches_.size();
+    const auto gain = [&](std::size_t g, RouteScratch& scratch) {
+        return cost_before -
+               trial_power(affected,
+                           routed_.trial_candidate(reference_, targets[groups[g]], scratch));
+    };
     if (workers <= 1 || count < 2) {
-        for (std::size_t g = 0; g < count; ++g)
-            gains[g] = cost_before -
-                       trial_cost(affected, slice, targets[groups[g]], scratches_[0]);
-        return;
+        for (std::size_t g = 0; g < count; ++g) gains[g] = gain(g, scratches_[0]);
+    } else {
+        // Contiguous chunks, one per worker; every candidate's gain is
+        // computed from the same frozen base state into its own slot, so the
+        // schedule cannot reorder any arithmetic.
+        const std::size_t chunks = std::min(workers, count);
+        for (std::size_t c = 0; c < chunks; ++c) {
+            pool_->submit([this, &gain, &gains, c, chunks, count] {
+                const std::size_t begin = c * count / chunks;
+                const std::size_t end = (c + 1) * count / chunks;
+                for (std::size_t g = begin; g < end; ++g) gains[g] = gain(g, scratches_[c]);
+            });
+        }
+        pool_->wait_idle();
     }
-    // Contiguous chunks, one per worker; every candidate's gain is computed
-    // from the same frozen base state into its own slot, so the schedule
-    // cannot reorder any arithmetic.
-    const std::size_t chunks = std::min(workers, count);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        pool_->submit([this, affected, slice, targets, groups, cost_before, &gains,
-                       c, chunks, count] {
-            const std::size_t begin = c * count / chunks;
-            const std::size_t end = (c + 1) * count / chunks;
-            RouteScratch& scratch = scratches_[c];
-            for (std::size_t g = begin; g < end; ++g)
-                gains[g] = cost_before -
-                           trial_cost(affected, slice, targets[groups[g]], scratch);
-        });
+    // Per-worker tallies are summed here, on the calling thread.
+    for (RouteScratch& scratch : scratches_) {
+        const RouteScratch::Tally tally = scratch.take_tally();
+        obs_add(obs_trial_connections_, static_cast<double>(tally.connections));
+        obs_add(obs_trial_rerouted_, static_cast<double>(tally.rerouted));
     }
-    pool_->wait_idle();
 }
 
 void Engine::rip_all(std::span<const NetId> affected) {

@@ -1,6 +1,8 @@
 #include "refpga/par/router.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <sstream>
 
 #include "refpga/common/contracts.hpp"
@@ -28,6 +30,7 @@ int ChannelCapacity::of(WireType t) const {
 RoutedDesign::RoutedDesign(const Placement& placement, ChannelCapacity capacity)
     : placement_(&placement), capacity_(capacity) {
     routes_.resize(placement.nl().net_count());
+    net_overflow_.assign(placement.nl().net_count(), 0);
     usage_.assign(static_cast<std::size_t>(placement.device().rows()) *
                       placement.device().cols() * fabric::kWireTypeCount,
                   0);
@@ -44,75 +47,62 @@ double RoutedDesign::total_capacitance_pf() const {
     return c;
 }
 
-std::size_t RoutedDesign::usage_index(int x, int y, WireType t) const {
-    const auto cols = placement_->device().cols();
-    return (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
-           static_cast<std::size_t>(t);
-}
+namespace {
 
-bool RoutedDesign::segment_fits(const RouteSegment& seg,
-                                const RouteScratch& scratch) const {
-    const auto& params = wire_params(seg.type);
-    const int cols = placement_->device().cols();
-    const int rows = placement_->device().rows();
-    const int cap = capacity_.of(seg.type);
+/// Calls f(idx) with the usage-grid index of each on-die tile of `seg`, in
+/// order; stops and returns false as soon as f does. Tiles past the die
+/// edge are clipped (they count as free).
+template <typename F>
+bool for_each_tile(const RouteSegment& seg, int cols, int rows, F&& f) {
     int x = seg.x;
     int y = seg.y;
-    for (int i = 0; i < params.span; ++i) {
-        if (x < 0 || x >= cols || y < 0 || y >= rows)
-            return true;  // clipped at the die edge; remaining tiles are free
-        const std::size_t idx =
-            (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
-            static_cast<std::size_t>(seg.type);
-        if (usage_[idx] + scratch.delta_[idx] >= cap) return false;
+    for (int i = 0; i < wire_params(seg.type).span; ++i) {
+        if (x < 0 || x >= cols || y < 0 || y >= rows) return true;
+        if (!f((static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
+               static_cast<std::size_t>(seg.type)))
+            return false;
         (seg.horizontal ? x : y) += seg.step;
     }
     return true;
 }
 
-void RoutedDesign::occupy_scratch(const RouteSegment& seg, RouteScratch& scratch) const {
-    const auto& params = wire_params(seg.type);
-    const int cols = placement_->device().cols();
-    const int rows = placement_->device().rows();
-    int x = seg.x;
-    int y = seg.y;
-    for (int i = 0; i < params.span; ++i) {
-        if (x < 0 || x >= cols || y < 0 || y >= rows) break;
-        const std::size_t idx =
-            (static_cast<std::size_t>(y) * cols + x) * fabric::kWireTypeCount +
-            static_cast<std::size_t>(seg.type);
-        if (scratch.delta_[idx] == 0) scratch.touched_.push_back(idx);
-        ++scratch.delta_[idx];
-        (seg.horizontal ? x : y) += seg.step;
-    }
+/// Channel occupancy as route_axis reads it (`occupied`) and takes a track
+/// (`occupy`), plus the segments it had to force onto a full channel. Live
+/// routing reads and writes the usage grid; the trial passes layer their
+/// own occupancy over it.
+template <typename Read, typename Take>
+struct Occupancy {
+    Read occupied;
+    Take occupy;
+    long overflows = 0;
+};
+template <typename Read, typename Take>
+Occupancy(Read, Take) -> Occupancy<Read, Take>;
+
+}  // namespace
+
+std::size_t TrialReference::moved_connection_count() const {
+    return static_cast<std::size_t>(
+        std::count_if(conns_.begin(), conns_.end(), [](const Connection& c) {
+            return c.driver_moves || c.sink_moves;
+        }));
 }
 
-void RoutedDesign::commit_scratch(RouteScratch& scratch) {
-    for (const std::size_t idx : scratch.touched_) usage_[idx] += scratch.delta_[idx];
-    overflow_ += scratch.overflow_;
-    scratch.clear();
+int TrialReference::occupancy_before(std::size_t tile, std::uint32_t conn) const {
+    const auto begin = tile_conns_.begin() + tile_conn_begin_[tile];
+    const auto end = tile_conns_.begin() + tile_conn_begin_[tile + 1];
+    return static_cast<int>(std::lower_bound(begin, end, conn) - begin);
 }
 
-void RoutedDesign::occupy_live(const RouteSegment& seg, int delta) {
-    const auto& params = wire_params(seg.type);
-    int x = seg.x;
-    int y = seg.y;
-    for (int i = 0; i < params.span; ++i) {
-        if (x < 0 || x >= placement_->device().cols() || y < 0 ||
-            y >= placement_->device().rows())
-            break;
-        usage_[usage_index(x, y, seg.type)] += delta;
-        (seg.horizontal ? x : y) += seg.step;
-    }
-}
-
-template <typename EmitSegment>
+template <typename Occ, typename EmitSegment>
 void RoutedDesign::route_axis(int fixed, int begin, int end, bool horizontal,
-                              RouteMode mode, RouteScratch& scratch,
+                              RouteMode mode, Occ& occ,
                               EmitSegment&& emit) const {
     int pos = begin;
     const int step = end >= begin ? 1 : -1;
     int remaining = std::abs(end - begin);
+    const int cols = placement_->device().cols();
+    const int rows = placement_->device().rows();
 
     // Candidate order by mode: Performance reaches far first; LowPower sticks
     // to the lowest capacitance-per-tile wires.
@@ -129,9 +119,12 @@ void RoutedDesign::route_axis(int fixed, int begin, int end, bool horizontal,
         for (const WireType t : preference) {
             const int span = wire_params(t).span;
             if (span > remaining) continue;
-            RouteSegment seg{t, horizontal ? pos : fixed, horizontal ? fixed : pos,
-                             horizontal, step};
-            if (!segment_fits(seg, scratch)) continue;
+            const RouteSegment seg{t, horizontal ? pos : fixed, horizontal ? fixed : pos,
+                                   horizontal, step};
+            const int cap = capacity_.of(t);
+            if (!for_each_tile(seg, cols, rows,
+                               [&](std::size_t idx) { return occ.occupied(idx) < cap; }))
+                continue;
             chosen = seg;
             found = true;
             break;
@@ -143,9 +136,12 @@ void RoutedDesign::route_axis(int fixed, int begin, int end, bool horizontal,
             const WireType t = WireType::Direct;
             chosen = RouteSegment{t, horizontal ? pos : fixed,
                                   horizontal ? fixed : pos, horizontal, step};
-            ++scratch.overflow_;
+            ++occ.overflows;
         }
-        occupy_scratch(chosen, scratch);
+        for_each_tile(chosen, cols, rows, [&](std::size_t idx) {
+            occ.occupy(idx);
+            return true;
+        });
         emit(chosen);
         const int advanced = std::min(wire_params(chosen.type).span, remaining);
         pos += advanced * step;
@@ -153,107 +149,322 @@ void RoutedDesign::route_axis(int fixed, int begin, int end, bool horizontal,
     }
 }
 
-SinkRoute RoutedDesign::route_connection(const SliceCoord& from, const SliceCoord& to,
-                                         PinRef sink, RouteMode mode,
-                                         RouteScratch& scratch) const {
-    SinkRoute route;
-    route.sink = sink;
-    const auto collect = [&](const RouteSegment& seg) { route.segments.push_back(seg); };
-    // L-shaped: horizontal first, then vertical.
-    route_axis(from.y, from.x, to.x, true, mode, scratch, collect);
-    route_axis(to.x, from.y, to.y, false, mode, scratch, collect);
-
-    route.delay_ps = kPinDelayPs;
-    route.capacitance_pf = kPinCapacitancePf;
-    for (const auto& seg : route.segments) {
-        const auto& params = wire_params(seg.type);
-        route.capacitance_pf += params.capacitance_pf;
-        route.delay_ps += params.delay_ps;
-    }
-    return route;
-}
-
-double RoutedDesign::route_connection_cost(const SliceCoord& from,
-                                           const SliceCoord& to, RouteMode mode,
-                                           RouteScratch& scratch) const {
+template <typename Occ, typename EmitSegment>
+double RoutedDesign::route_connection(int from_x, int from_y, int to_x, int to_y,
+                                      RouteMode mode, Occ& occ,
+                                      EmitSegment&& emit) const {
     double capacitance_pf = kPinCapacitancePf;
-    const auto cost = [&](const RouteSegment& seg) {
+    const auto step = [&](const RouteSegment& seg) {
         capacitance_pf += wire_params(seg.type).capacitance_pf;
+        emit(seg);
     };
-    route_axis(from.y, from.x, to.x, true, mode, scratch, cost);
-    route_axis(to.x, from.y, to.y, false, mode, scratch, cost);
+    // L-shaped: horizontal first, then vertical.
+    route_axis(from_y, from_x, to_x, true, mode, occ, step);
+    route_axis(to_x, from_y, to_y, false, mode, occ, step);
     return capacitance_pf;
 }
 
-SliceCoord RoutedDesign::pos_of(netlist::CellId cell, SliceId moved,
-                                const SliceCoord* moved_pos) const {
-    if (moved_pos != nullptr) {
-        const SliceId s = placement_->design().slice_of(cell);
-        if (s.valid() && s == moved) return *moved_pos;
+void RoutedDesign::clear_scratch(RouteScratch& s) const {
+    const std::size_t tiles = usage_.size();
+    const int cols = placement_->device().cols();
+    if (s.delta_.size() != tiles) {
+        s = RouteScratch{};
+        s.delta_.assign(tiles, 0);
+        s.state_.assign(tiles, 0);
+        s.timeline_pos_.assign(tiles, 0);
+        s.wake_next_.assign(tiles, -1);
+        s.row_flips_.resize(static_cast<std::size_t>(placement_->device().rows()));
+        s.col_flips_.resize(static_cast<std::size_t>(cols));
+        return;
     }
-    return placement_->cell_pos(cell);
+    for (const std::size_t idx : s.touched_) {
+        s.delta_[idx] = 0;
+        if ((s.state_[idx] & 2U) != 0) {
+            const std::size_t tile = idx / fabric::kWireTypeCount;
+            s.row_flips_[tile / cols].clear();
+            s.col_flips_[tile % cols].clear();
+        }
+        s.state_[idx] = 0;
+    }
+    s.touched_.clear();
 }
 
-void RoutedDesign::route_net_into(NetId net, RouteMode mode, SliceId moved,
-                                  const SliceCoord* moved_pos, NetRoute& out,
-                                  RouteScratch& scratch) const {
-    scratch.ensure_size(usage_.size());
+void RoutedDesign::trial_reference(std::span<const NetId> nets, SliceId moved,
+                                   const SliceCoord& moved_pos, RouteMode mode,
+                                   TrialReference& out, RouteScratch& scratch) const {
+    clear_scratch(scratch);
+    out.mode_ = mode;
+    out.net_capacitance_pf_.clear();
+    out.net_conn_begin_.assign(1, 0);
+    out.conns_.clear();
+    out.conn_tile_begin_.assign(1, 0);
+    out.conn_tiles_.clear();
     const auto& nl = placement_->nl();
-    const auto& n = nl.net(net);
-    out.sinks.clear();
-    out.routed = true;
-    if (placement_->dedicated_net(net) || !n.driven()) return;
-    const SliceCoord from = pos_of(n.driver.cell, moved, moved_pos);
-    for (const PinRef& sink : n.sinks) {
-        const SliceCoord to = pos_of(sink.cell, moved, moved_pos);
-        out.sinks.push_back(route_connection(from, to, sink, mode, scratch));
+    Occupancy occ{[&](std::size_t idx) { return usage_[idx] + scratch.delta_[idx]; },
+                  [&](std::size_t idx) {
+                      if (scratch.delta_[idx]++ == 0) scratch.touched_.push_back(idx);
+                      out.conn_tiles_.push_back(static_cast<std::uint32_t>(idx));
+                  }};
+    const auto moves = [&](netlist::CellId cell) {
+        const SliceId s = placement_->design().slice_of(cell);
+        return s.valid() && s == moved;
+    };
+    for (const NetId net : nets) {
+        REFPGA_EXPECTS(net.value() < routes_.size());
+        const auto& n = nl.net(net);
+        double capacitance_pf = 0.0;
+        if (!placement_->dedicated_net(net) && n.driven()) {
+            const bool driver_moves = moves(n.driver.cell);
+            const SliceCoord from =
+                driver_moves ? moved_pos : placement_->cell_pos(n.driver.cell);
+            for (const PinRef& sink : n.sinks) {
+                const bool sink_moves = moves(sink.cell);
+                const SliceCoord to = sink_moves ? moved_pos : placement_->cell_pos(sink.cell);
+                TrialReference::Connection c{from.x, from.y, to.x, to.y, 0.0,
+                                             driver_moves, sink_moves};
+                c.capacitance_pf =
+                    route_connection(from.x, from.y, to.x, to.y, mode, occ,
+                                     [](const RouteSegment&) {});
+                capacitance_pf += c.capacitance_pf;
+                out.conns_.push_back(c);
+                out.conn_tile_begin_.push_back(
+                    static_cast<std::uint32_t>(out.conn_tiles_.size()));
+            }
+        }
+        out.net_capacitance_pf_.push_back(capacitance_pf);
+        out.net_conn_begin_.push_back(static_cast<std::uint32_t>(out.conns_.size()));
     }
+
+    // Timeline CSR: a tile's count is its final scratch occupancy; filling in
+    // connection order keeps every tile's list ascending.
+    out.tile_conn_begin_.assign(usage_.size() + 1, 0);
+    for (const std::size_t idx : scratch.touched_)
+        out.tile_conn_begin_[idx + 1] = static_cast<std::uint32_t>(scratch.delta_[idx]);
+    for (std::size_t t = 0; t < usage_.size(); ++t)
+        out.tile_conn_begin_[t + 1] += out.tile_conn_begin_[t];
+    out.tile_conns_.resize(out.conn_tiles_.size());
+    for (std::uint32_t j = 0; j + 1 < out.conn_tile_begin_.size(); ++j)
+        for (std::uint32_t k = out.conn_tile_begin_[j]; k < out.conn_tile_begin_[j + 1];
+             ++k) {
+            // delta_ counts down to 0 as the tile's slots fill front to back.
+            const std::uint32_t idx = out.conn_tiles_[k];
+            const int left = --scratch.delta_[idx];
+            out.tile_conns_[out.tile_conn_begin_[idx + 1] - 1 -
+                            static_cast<std::uint32_t>(left)] = j;
+        }
+    scratch.touched_.clear();  // every delta_ is back at 0
 }
 
-double RoutedDesign::trial_route_capacitance_pf(NetId net, SliceId moved,
-                                                const SliceCoord& moved_pos,
-                                                RouteMode mode,
-                                                RouteScratch& scratch) const {
-    REFPGA_EXPECTS(net.value() < routes_.size());
-    scratch.ensure_size(usage_.size());
-    const auto& n = placement_->nl().net(net);
-    if (placement_->dedicated_net(net) || !n.driven()) return 0.0;
-    const SliceCoord from = pos_of(n.driver.cell, moved, &moved_pos);
-    double capacitance_pf = 0.0;
-    for (const PinRef& sink : n.sinks) {
-        const SliceCoord to = pos_of(sink.cell, moved, &moved_pos);
-        capacitance_pf += route_connection_cost(from, to, mode, scratch);
+// One candidate trial (see trial_candidate). The scratch's delta_ holds the
+// diff D; each tracked tile (one whose D was ever written) keeps its position
+// in its reference timeline, so R_j(t) is a subtraction, and a flag for
+// whether D flips its fullness, indexed by row and column. A flag changes only
+// when D changes at its tile or the timeline passes one of the tile's
+// connections; wake lists keyed by connection find the latter, so no
+// connection scans the diff.
+class RoutedDesign::CandidateTrial {
+public:
+    CandidateTrial(const RoutedDesign& d, const TrialReference& ref, RouteScratch& s)
+        : d_(d), ref_(ref), s_(s),
+          cols_(static_cast<std::uint32_t>(d.placement_->device().cols())) {}
+
+    std::span<const double> run(const SliceCoord& moved_pos) {
+        const auto count = static_cast<std::uint32_t>(ref_.conns_.size());
+        s_.wake_head_.assign(count + 1, -1);
+        s_.net_capacitance_pf_.clear();
+        long rerouted = 0;
+        std::uint32_t j = 0;
+        for (std::size_t net = 0; net < ref_.net_capacitance_pf_.size(); ++net) {
+            double capacitance_pf = 0.0;
+            for (; j < ref_.net_conn_begin_[net + 1]; ++j) {
+                wake(j);
+                const TrialReference::Connection& c = ref_.conns_[j];
+                if (!c.driver_moves && !c.sink_moves && !flip_on_path(c)) {
+                    capacitance_pf += c.capacitance_pf;
+                    continue;
+                }
+                ++rerouted;
+                capacitance_pf += reroute(j, c.driver_moves ? moved_pos.x : c.from_x,
+                                          c.driver_moves ? moved_pos.y : c.from_y,
+                                          c.sink_moves ? moved_pos.x : c.to_x,
+                                          c.sink_moves ? moved_pos.y : c.to_y);
+            }
+            s_.net_capacitance_pf_.push_back(capacitance_pf);
+        }
+        s_.tally_.connections += count;
+        s_.tally_.rerouted += rerouted;
+        return s_.net_capacitance_pf_;
     }
-    return capacitance_pf;
+
+private:
+    /// Refreshes the tiles whose reference occupancy rose with connection
+    /// conn - 1.
+    void wake(std::uint32_t conn) {
+        for (std::int32_t tile = std::exchange(s_.wake_head_[conn], -1); tile >= 0;) {
+            const auto t = static_cast<std::uint32_t>(tile);
+            tile = s_.wake_next_[t];
+            ++s_.timeline_pos_[t];
+            refresh_flip(t);
+            schedule_wake(t);
+        }
+    }
+
+    /// Queues `tile` behind its next timeline connection, if any.
+    void schedule_wake(std::uint32_t tile) {
+        const std::uint32_t pos = s_.timeline_pos_[tile];
+        if (pos == ref_.tile_conn_begin_[tile + 1]) return;
+        const std::uint32_t conn = ref_.tile_conns_[pos] + 1;
+        s_.wake_next_[tile] = s_.wake_head_[conn];
+        s_.wake_head_[conn] = static_cast<std::int32_t>(tile);
+    }
+
+    void refresh_flip(std::uint32_t tile) {
+        const int cap =
+            d_.capacity_.of(static_cast<WireType>(tile % fabric::kWireTypeCount));
+        const int before = d_.usage_[tile] + static_cast<int>(s_.timeline_pos_[tile] -
+                                                              ref_.tile_conn_begin_[tile]);
+        const bool flipped = (before >= cap) != (before + s_.delta_[tile] >= cap);
+        if (flipped == ((s_.state_[tile] & 2U) != 0)) return;
+        s_.state_[tile] ^= 2U;
+        const std::uint32_t site = tile / fabric::kWireTypeCount;
+        auto& row = s_.row_flips_[site / cols_];
+        auto& col = s_.col_flips_[site % cols_];
+        if (flipped) {
+            row.push_back(tile);
+            col.push_back(tile);
+        } else {
+            row.erase(std::find(row.begin(), row.end(), tile));
+            col.erase(std::find(col.begin(), col.end(), tile));
+        }
+    }
+
+    /// Starts tracking `tile` at the reference occupancy before connection
+    /// `conn`, or refreshes a tracked tile's flag.
+    void track(std::uint32_t tile, std::uint32_t conn) {
+        if ((s_.state_[tile] & 1U) == 0) {
+            s_.state_[tile] = 1U;
+            s_.touched_.push_back(tile);
+            s_.timeline_pos_[tile] = ref_.tile_conn_begin_[tile] +
+                                     static_cast<std::uint32_t>(
+                                         ref_.occupancy_before(tile, conn));
+            schedule_wake(tile);
+        }
+        refresh_flip(tile);
+    }
+
+    /// Row from.y over [from.x, to.x), then column to.x over [from.y, to.y).
+    [[nodiscard]] bool flip_on_path(const TrialReference::Connection& c) const {
+        const auto crosses = [](std::uint32_t coord, int from, int to) {
+            const auto v = static_cast<int>(coord);
+            return from < to ? v >= from && v < to : v <= from && v > to;
+        };
+        for (const std::uint32_t tile : s_.row_flips_[c.from_y])
+            if (crosses(tile / fabric::kWireTypeCount % cols_, c.from_x, c.to_x))
+                return true;
+        for (const std::uint32_t tile : s_.col_flips_[c.to_x])
+            if (crosses(tile / fabric::kWireTypeCount / cols_, c.from_y, c.to_y))
+                return true;
+        return false;
+    }
+
+    /// Routes connection `conn` against usage + R_conn + D, then adds its
+    /// candidate-minus-reference occupancy to D; the flags of the tiles that
+    /// changed then read the reference occupancy after it.
+    double reroute(std::uint32_t conn, int from_x, int from_y, int to_x, int to_y) {
+        s_.route_tiles_.clear();
+        Occupancy occ{[&](std::size_t idx) {
+                          return d_.usage_[idx] + ref_.occupancy_before(idx, conn) +
+                                 s_.delta_[idx];
+                      },
+                      [&](std::size_t idx) {
+                          ++s_.delta_[idx];
+                          s_.route_tiles_.push_back(static_cast<std::uint32_t>(idx));
+                      }};
+        const double capacitance_pf = d_.route_connection(
+            from_x, from_y, to_x, to_y, ref_.mode_, occ, [](const RouteSegment&) {});
+        for (const std::uint32_t tile : s_.route_tiles_) track(tile, conn + 1);
+        for (std::uint32_t k = ref_.conn_tile_begin_[conn];
+             k < ref_.conn_tile_begin_[conn + 1]; ++k) {
+            const std::uint32_t tile = ref_.conn_tiles_[k];
+            --s_.delta_[tile];
+            track(tile, conn + 1);
+        }
+        return capacitance_pf;
+    }
+
+    const RoutedDesign& d_;
+    const TrialReference& ref_;
+    RouteScratch& s_;
+    std::uint32_t cols_;
+};
+
+std::span<const double> RoutedDesign::trial_candidate(const TrialReference& reference,
+                                                      const SliceCoord& moved_pos,
+                                                      RouteScratch& scratch) const {
+    REFPGA_EXPECTS(reference.tile_conn_begin_.size() == usage_.size() + 1);
+    clear_scratch(scratch);
+    return CandidateTrial(*this, reference, scratch).run(moved_pos);
 }
 
 void RoutedDesign::rip_up(NetId net) {
     NetRoute& r = routes_[net.value()];
+    const int cols = placement_->device().cols();
+    const int rows = placement_->device().rows();
     for (const auto& sink : r.sinks)
-        for (const auto& seg : sink.segments) occupy_live(seg, -1);
+        for (const auto& seg : sink.segments)
+            for_each_tile(seg, cols, rows, [&](std::size_t idx) {
+                --usage_[idx];
+                return true;
+            });
     r.sinks.clear();
     r.routed = false;
+    overflow_ -= net_overflow_[net.value()];
+    net_overflow_[net.value()] = 0;
 }
 
 void RoutedDesign::route_net(NetId net, RouteMode mode) {
-    live_scratch_.ensure_size(usage_.size());
-    live_scratch_.clear();
-    route_net_into(net, mode, SliceId{}, nullptr, routes_[net.value()], live_scratch_);
-    commit_scratch(live_scratch_);
+    const auto& n = placement_->nl().net(net);
+    NetRoute& out = routes_[net.value()];
+    out.sinks.clear();
+    out.routed = true;
+    if (placement_->dedicated_net(net) || !n.driven()) return;
+    Occupancy occ{[this](std::size_t idx) { return usage_[idx]; },
+                  [this](std::size_t idx) { ++usage_[idx]; }};
+    const SliceCoord from = placement_->cell_pos(n.driver.cell);
+    for (const PinRef& sink : n.sinks) {
+        const SliceCoord to = placement_->cell_pos(sink.cell);
+        SinkRoute route;
+        route.sink = sink;
+        route.delay_ps = kPinDelayPs;
+        route.capacitance_pf =
+            route_connection(from.x, from.y, to.x, to.y, mode, occ,
+                             [&](const RouteSegment& seg) {
+                                 route.segments.push_back(seg);
+                                 route.delay_ps += wire_params(seg.type).delay_ps;
+                             });
+        out.sinks.push_back(std::move(route));
+    }
+    net_overflow_[net.value()] = occ.overflows;
+    overflow_ += occ.overflows;
 }
 
 void RoutedDesign::route_all(RouteMode mode) {
     for (std::uint32_t i = 0; i < routes_.size(); ++i)
         if (routes_[i].routed) rip_up(NetId{i});
-    overflow_ = 0;
     // Route short nets first so they keep the cheap wires; long nets can
     // better amortize hex/long segments.
-    std::vector<std::uint32_t> order(routes_.size());
-    for (std::uint32_t i = 0; i < routes_.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-        return placement_->net_hpwl(NetId{a}) < placement_->net_hpwl(NetId{b});
-    });
-    for (const std::uint32_t i : order) route_net(NetId{i}, mode);
+    // HPWL is keyed once per net; the comparator sees the same values the
+    // per-comparison recomputation did, so std::sort yields the same order.
+    struct Keyed {
+        int hpwl;
+        std::uint32_t net;
+    };
+    std::vector<Keyed> order(routes_.size());
+    for (std::uint32_t i = 0; i < routes_.size(); ++i)
+        order[i] = {placement_->net_hpwl(NetId{i}), i};
+    std::sort(order.begin(), order.end(),
+              [](const Keyed& a, const Keyed& b) { return a.hpwl < b.hpwl; });
+    for (const Keyed& k : order) route_net(NetId{k.net}, mode);
 }
 
 void RoutedDesign::reroute_net(NetId net, RouteMode mode) {

@@ -522,6 +522,22 @@ struct Routed {
     }
 };
 
+// The Table-2 system netlist on the XC3S1000, annealed at the §4.3 flow's
+// effort with placer seed 4.
+struct Table2 {
+    app::SystemNetlist sys = app::build_system_netlist({});
+    PackedDesign packed = pack(sys.nl);
+    Device dev{PartName::XC3S1000};
+    Placement placement{dev, sys.nl, packed};
+    Table2() {
+        placement.place_initial();
+        PlacerOptions options;
+        options.seed = 4;
+        options.effort = 0.15;
+        (void)anneal(placement, options);
+    }
+};
+
 TEST(Router, RoutesAllNets) {
     Routed r;
     RoutedDesign routed(r.placement, {});
@@ -603,6 +619,22 @@ TEST(Router, SwitchPowerFormula) {
 }
 
 // ---------------------------------------------------------------- timing
+
+// Pins the Table-2 Performance routing (seed 4), overflow included: the
+// router overcommits its channels there (ROADMAP item 1), and a change to
+// the net order or to a segment decision moves both numbers.
+TEST(Router, Table2RoutingPinned) {
+    const Table2 t;
+    RoutedDesign routed(t.placement, {});
+    routed.route_all(RouteMode::Performance);
+    EXPECT_EQ(routed.overflow_count(), 177715);
+    EXPECT_EQ(routed.total_capacitance_pf(), 0x1.6e629999998c1p+15);  // 46 897.2 pF
+
+    // The count describes the live routing: ripping a net up releases its
+    // share, so a design with every net ripped up overcommits nothing.
+    for (std::uint32_t i = 0; i < t.sys.nl.net_count(); ++i) routed.unroute_net(NetId{i});
+    EXPECT_EQ(routed.overflow_count(), 0);
+}
 
 TEST(Timing, DeeperLogicHasLongerCriticalPath) {
     auto critical_for = [](int depth) {
@@ -1037,6 +1069,34 @@ TEST(Reallocate, Table2ReportPinned) {
     EXPECT_EQ(m.value("realloc.moves_committed_total"), 15.0);
     EXPECT_EQ(m.value("realloc.moves_rejected_total"), 0.0);
     EXPECT_EQ(m.value("realloc.timing_analyses_total"), 2.0 + 15.0);
+}
+
+// The Table-2 flow of Table2ReportPinned: candidate trials reuse most
+// connections, and the trial counters leave the report unchanged.
+TEST(Reallocate, Table2TrialsReuseConnections) {
+    Table2 t;
+    RoutedDesign routed(t.placement, {});
+    routed.route_all(RouteMode::Performance);
+    const sim::ActivityMap activity = app::system_activity(t.sys.nl, 50e6);
+    Placement plain_placement = t.placement;
+    RoutedDesign plain_routed(plain_placement, {});
+    plain_routed.route_all(RouteMode::Performance);
+
+    ReallocateOptions options;
+    options.net_count = 8;
+    options.threads = 2;
+    const ReallocateReport plain =
+        optimize_net_power(plain_placement, plain_routed, activity, options);
+    obs::Recorder recorder;
+    options.recorder = &recorder;
+    EXPECT_TRUE(optimize_net_power(t.placement, routed, activity, options) == plain);
+
+    const obs::MetricRegistry& m = recorder.metrics();
+    const double total = m.value("realloc.trial_connections_total");
+    const double rerouted = m.value("realloc.trial_connections_rerouted_total");
+    EXPECT_EQ(total, 188782.0);
+    EXPECT_GT(rerouted, 0.0);
+    EXPECT_LT(rerouted, total);
 }
 
 TEST(Reallocate, CaptureRoutesProducesViews) {

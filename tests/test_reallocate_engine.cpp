@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "refpga/app/activity.hpp"
+#include "refpga/app/system.hpp"
 #include "refpga/common/contracts.hpp"
 #include "refpga/common/rng.hpp"
 #include "refpga/netlist/adjacency.hpp"
@@ -18,6 +21,7 @@
 #include "refpga/obs/obs.hpp"
 #include "refpga/par/pack.hpp"
 #include "refpga/par/placement.hpp"
+#include "refpga/par/placer.hpp"
 #include "refpga/par/reallocate.hpp"
 #include "refpga/par/router.hpp"
 #include "refpga/sim/activity.hpp"
@@ -131,6 +135,27 @@ TEST(ReallocateEngine, ReportInvariantUnderThreadCount) {
     const ReallocateReport t16 = run_engine(options);
     EXPECT_TRUE(t4 == t1);
     EXPECT_TRUE(t16 == t1);
+}
+
+// Workers tally trial connections in their own scratch and the calling
+// thread sums the tallies, so the counters do not depend on the schedule.
+TEST(ReallocateEngine, TrialCountersInvariantUnderThreadCount) {
+    std::vector<std::pair<double, double>> counts;
+    for (const int threads : {1, 4, 16}) {
+        obs::Recorder recorder;
+        ReallocateOptions options = base_options();
+        options.threads = threads;
+        options.recorder = &recorder;
+        (void)run_engine(options);
+        const obs::MetricRegistry& m = recorder.metrics();
+        counts.emplace_back(m.value("realloc.trial_connections_total"),
+                            m.value("realloc.trial_connections_rerouted_total"));
+    }
+    EXPECT_GT(counts[0].first, 0.0);
+    EXPECT_GT(counts[0].second, 0.0);
+    EXPECT_LE(counts[0].second, counts[0].first);
+    EXPECT_EQ(counts[1], counts[0]);
+    EXPECT_EQ(counts[2], counts[0]);
 }
 
 TEST(ReallocateEngine, TightSlackStillEquivalent) {
@@ -258,6 +283,7 @@ TEST(ReallocateEngine, PowerCacheTracksReroutes) {
 TEST(ReallocateEngine, TrialRouteMatchesLiveRoute) {
     Scenario s;
     RouteScratch scratch;
+    TrialReference reference;
     int checked = 0;
     for (std::uint32_t ni = 0; ni < s.d.nl.net_count() && checked < 8; ++ni) {
         const NetId net{ni};
@@ -268,16 +294,127 @@ TEST(ReallocateEngine, TrialRouteMatchesLiveRoute) {
         // Trial-cost the net "as if" its driver slice sat where it already
         // sits, against the same base occupancy a live re-route would see.
         s.routed.unroute_net(net);
-        scratch.clear();
-        const double trial = s.routed.trial_route_capacitance_pf(
-            net, slice, s.placement.slice_pos(slice), RouteMode::LowPower, scratch);
-        scratch.clear();
+        const NetId nets[] = {net};
+        s.routed.trial_reference(nets, slice, s.placement.slice_pos(slice),
+                                 RouteMode::LowPower, reference, scratch);
+        const double trial = reference.net_capacitance_pf()[0];
         s.routed.reroute_net(net, RouteMode::LowPower);
-        EXPECT_DOUBLE_EQ(s.routed.route(net).capacitance_pf(), trial)
-            << "net " << ni;
+        EXPECT_EQ(s.routed.route(net).capacitance_pf(), trial) << "net " << ni;
         ++checked;
     }
     EXPECT_GT(checked, 0);
+}
+
+// ------------------------------------------------- candidate trial reuse
+
+struct TrialCounts {
+    long candidates = 0;
+    long connections = 0;
+    long rerouted = 0;
+    long flip_rerouted = 0;  ///< re-routes of connections off the moved slice
+};
+
+// Differential oracle for the reuse trial: for every free site within
+// `radius` tiles of `slice`, trial_candidate must equal a full sequential
+// trial route of the affected nets at that site, bitwise per net. The
+// affected nets are ripped up first, as the engine does, and restored on
+// LowPower wires afterwards; the last candidate is also routed live, which
+// ties the full trial to reroute_net.
+void expect_reuse_matches_full(Placement& placement, RoutedDesign& routed,
+                               const ReallocIndex& index, SliceId slice, int radius,
+                               TrialCounts& counts) {
+    const auto affected = index.nets_of(slice);
+    if (affected.empty()) return;
+    for (const NetId a : affected) routed.unroute_net(a);
+    const SliceCoord original = placement.slice_pos(slice);
+    RouteScratch scratch;
+    RouteScratch full_scratch;
+    TrialReference reference;
+    TrialReference full;
+    routed.trial_reference(affected, slice, original, RouteMode::LowPower, reference,
+                           scratch);
+    const auto moved = static_cast<long>(reference.moved_connection_count());
+    std::vector<SliceCoord> targets;
+    const Device& dev = placement.device();
+    for (int dy = -radius; dy <= radius; ++dy)
+        for (int dx = -radius; dx <= radius; ++dx) {
+            const SliceCoord target{original.x + dx, original.y + dy, 0};
+            if (target.x < 0 || target.x >= dev.cols() || target.y < 0 ||
+                target.y >= dev.rows() || placement.slice_at(target).valid())
+                continue;
+            targets.push_back(target);
+        }
+    for (const SliceCoord& target : targets) {
+        const std::span<const double> got =
+            routed.trial_candidate(reference, target, scratch);
+        const RouteScratch::Tally tally = scratch.take_tally();
+        routed.trial_reference(affected, slice, target, RouteMode::LowPower, full,
+                               full_scratch);
+        ASSERT_EQ(got.size(), affected.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], full.net_capacitance_pf()[i])
+                << "slice " << slice.value() << " target " << target.x << ","
+                << target.y << " net " << affected[i].value();
+        ++counts.candidates;
+        counts.connections += tally.connections;
+        counts.rerouted += tally.rerouted;
+        counts.flip_rerouted += tally.rerouted - moved;
+    }
+    if (!targets.empty()) {
+        placement.swap_sites(original, targets.back());
+        for (const NetId a : affected) routed.reroute_net(a, RouteMode::LowPower);
+        for (std::size_t i = 0; i < affected.size(); ++i)
+            EXPECT_EQ(routed.route(affected[i]).capacitance_pf(),
+                      full.net_capacitance_pf()[i]);
+        for (const NetId a : affected) routed.unroute_net(a);
+        placement.swap_sites(targets.back(), original);
+    }
+    for (const NetId a : affected) routed.reroute_net(a, RouteMode::LowPower);
+}
+
+TEST(ReallocateEngine, TrialReuseMatchesFullTrialOnScatteredDesigns) {
+    TrialCounts counts;
+    for (const std::uint64_t seed : {5u, 3u, 7u}) {
+        Scenario s(seed);
+        const netlist::CellNetIndex cells(s.d.nl);
+        const ReallocIndex index(s.placement, cells);
+        for (std::uint32_t si = 0; si < s.placement.design().slice_count(); ++si)
+            expect_reuse_matches_full(s.placement, s.routed, index, SliceId{si}, 4,
+                                      counts);
+    }
+    EXPECT_GT(counts.candidates, 0);
+    EXPECT_GT(counts.rerouted, 0);
+    EXPECT_LT(counts.rerouted, counts.connections);
+}
+
+// A congested Table-2 slice (XC3S1000, placer seed 4, effort 0.15): channels
+// near capacity make candidate diffs flip tiles between full and free, which
+// forces re-routes of connections that do not touch the moved slice, some of
+// which change route. Slice 4583 holds a sink of net 15878, the third net
+// the seed-4 flow optimises; its 9 affected nets carry 784 connections per
+// trial.
+constexpr std::uint32_t kTable2Slice = 4583;
+
+TEST(ReallocateEngine, TrialReuseMatchesFullTrialOnCongestedTable2Slice) {
+    const app::SystemNetlist sys = app::build_system_netlist({});
+    const PackedDesign packed = pack(sys.nl);
+    const Device dev(PartName::XC3S1000);
+    Placement placement(dev, sys.nl, packed);
+    placement.place_initial();
+    PlacerOptions placer;
+    placer.seed = 4;
+    placer.effort = 0.15;
+    (void)anneal(placement, placer);
+    RoutedDesign routed(placement, {});
+    routed.route_all(RouteMode::Performance);
+    const netlist::CellNetIndex cells(sys.nl);
+    const ReallocIndex index(placement, cells);
+
+    TrialCounts counts;
+    expect_reuse_matches_full(placement, routed, index, SliceId{kTable2Slice}, 4, counts);
+    EXPECT_GT(counts.candidates, 0);
+    EXPECT_LT(counts.rerouted, counts.connections);
+    EXPECT_GT(counts.flip_rerouted, 0);
 }
 
 // ------------------------------------------------- capacity contract
